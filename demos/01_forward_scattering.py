@@ -1,45 +1,36 @@
 """Forward scattering: from a cavity shape to the multi-static far-field matrix.
 
-Walks through the basic pipeline: build a boundary curve, discretize it,
-assemble and solve the boundary integral system for one incident plane wave,
-evaluate the far-field pattern, then produce the full 64x64 multi-static
-matrix and save it in the text format the CLI uses.
+Walks through the basic pipeline: build a boundary curve, set up a solver
+that discretizes, assembles and LU-factors the boundary integral system once,
+solve for one incident plane wave, then produce the full 64x64 multi-static
+matrix from the same factorization, read far-field values off it and save it
+in the text format the CLI uses.
 """
 
 import numpy as np
 
-from plate_echo import (
-    assemble_far_field_matrix,
-    assemble_system,
-    far_field,
-    make_curve,
-    save_farfield,
-    solve_densities,
-)
-from plate_echo.forward import discretize
+from plate_echo import ScatteringSolver, make_curve, save_farfield
 from plate_echo.verify import check_operator_identity
 
 k = 4.0
 star = make_curve("star")          # r(t) = 1.5 (1 + 0.3 cos 4t)
 print(f"shape: {star.kind}, params {star.params}, diameter {star.diameter():.3f}")
 
-# one incident direction, step by step
-disc = discretize(star, 128)
-system = assemble_system(disc, k)
-print(f"system: {system.shape[0]}x{system.shape[1]} complex, dense")
+# one discretization, assembly and factorization, reused by every solve below
+solver = ScatteringSolver(star, k, n_nodes=128)
+print(f"system: {solver.system.shape[0]}x{solver.system.shape[1]} complex, dense")
 
 d = np.array([1.0, 0.0])
-densities = solve_densities(system, disc, k, d)
-print(f"densities solved for d = {d}; |phi1| max = {np.abs(densities.phi1).max():.3f}")
+phi1, phi2 = solver.solve(d)
+print(f"densities solved for d = {d}; |phi1| max = {np.abs(phi1).max():.3f}")
 
-for angle in (0.0, np.pi / 2, np.pi):
-    xhat = np.array([np.cos(angle), np.sin(angle)])
-    u = far_field(disc, k, densities, xhat)
-    print(f"  u_inf(angle {angle:4.2f}) = {u:.6f}")
-
-# the full multi-static matrix: one assembly + factorization, 64 solves
-ff = assemble_far_field_matrix(star, k, n_dirs=64, n_nodes=128)
+# the full multi-static matrix: 64 more solves on the same factorization
+ff = solver.far_field_matrix(64)
 print(f"\nmulti-static matrix: {ff.n_dirs}x{ff.n_dirs}, |F| max = {np.abs(ff.entries).max():.2f}")
+
+# column 0 is the incidence d = (1, 0); row i observes at angle 2 pi i / 64
+for i in (0, 16, 32):
+    print(f"  u_inf(angle {2 * np.pi * i / ff.n_dirs:4.2f}) = {ff.entries[i, 0]:.6f}")
 
 # a built-in correctness probe needing no reference data: the far-field
 # operator identity F - F* = (i/4pi) F*F, discretized with weight 2pi/N

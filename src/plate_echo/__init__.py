@@ -8,12 +8,10 @@ checks of the far-field operator identities.
 from .geometry import ParametricCurve, make_curve, curve_frame, SHAPE_KINDS
 from .forward import (
     BoundaryDiscretization,
-    DensityPair,
     FarFieldMatrix,
+    ScatteringSolver,
     discretize,
     assemble_system,
-    solve_densities,
-    far_field,
     assemble_far_field_matrix,
     save_farfield,
     load_farfield,
@@ -43,8 +41,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParametricCurve", "make_curve", "curve_frame", "SHAPE_KINDS",
-    "BoundaryDiscretization", "DensityPair", "FarFieldMatrix",
-    "discretize", "assemble_system", "solve_densities", "far_field",
+    "BoundaryDiscretization", "FarFieldMatrix", "ScatteringSolver",
+    "discretize", "assemble_system",
     "assemble_far_field_matrix", "save_farfield", "load_farfield",
     "DiskScatteringSolution", "solve_disk", "disk_far_field", "disk_far_field_matrix",
     "NoiseModel", "ApertureMask", "ImagingGrid",

@@ -16,10 +16,6 @@ rho=4 inner-product indicator, no noise). Presets: 'paper-star',
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 degenerate output,
 5 verification failure.
 
-The env var PLATE_ECHO_THREADS, when set, caps worker parallelism; this
-implementation computes serially (one worker), which satisfies any positive
-cap. The value is still validated.
-
 Every command is a pure function of (config, input files, seed): reruns
 produce byte-identical outputs. Files are written atomically (temp + rename).
 """
@@ -28,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import os
 import sys
 import tempfile
@@ -36,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .forward import assemble_far_field_matrix, load_farfield, save_farfield
+from .forward import ScatteringSolver, assemble_far_field_matrix, load_farfield, save_farfield
 from .geometry import make_curve
 from .imaging import (
     ApertureMask,
@@ -139,40 +136,6 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # config file round trip
 # ---------------------------------------------------------------------------
-def config_text(cfg: ExperimentConfig) -> str:
-    """Serialize the effective configuration (re-readable by parse_config)."""
-    params = cfg.shape_params
-    if params is None:
-        params = cfg.curve().params
-    lines = [
-        "[experiment]",
-        f"shape = {cfg.shape_kind}",
-        "shape_params = " + ", ".join(f"{p:.17g}" for p in params),
-        f"k = {cfg.k:.17g}",
-        f"n_dirs = {cfg.n_dirs}",
-        f"quad_nodes = {cfg.quad_nodes}",
-        "",
-        "[imaging]",
-        f"which = {cfg.which}",
-        f"rho = {cfg.rho:.17g}",
-        "extent = " + ", ".join(f"{v:.17g}" for v in cfg.extent),
-        f"resolution = {cfg.resolution[0]}, {cfg.resolution[1]}",
-        "",
-        "[noise]",
-        f"delta = {cfg.delta:.17g}",
-        f"seed = {cfg.seed}",
-        "",
-        "[mask]",
-        "rows = " + _format_indices(cfg.mask_rows),
-        "cols = " + _format_indices(cfg.mask_cols),
-        "",
-        "[output]",
-        f"dir = {cfg.out_dir}",
-        f"write_pgm = {'true' if cfg.write_pgm else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _format_indices(idx: tuple) -> str:
     if not idx:
         return ""
@@ -199,6 +162,61 @@ def _parse_indices(text: str) -> tuple:
     return tuple(out)
 
 
+def _parse_values(convert):
+    return lambda text: tuple(convert(v) for v in text.replace(",", " ").split())
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+def _format_float(v) -> str:
+    return f"{v:.17g}"
+
+
+def _format_values(fmt):
+    return lambda values: ", ".join(fmt(v) for v in values)
+
+
+# One row per config key: (section, key, ExperimentConfig attribute, parse,
+# format). parse_config and config_text both walk this table, in this order.
+# A parse that returns None keeps the base value (an empty shape_params
+# means the shape's defaults).
+CONFIG_FIELDS = (
+    ("experiment", "shape", "shape_kind", str.strip, str),
+    ("experiment", "shape_params", "shape_params",
+     lambda text: _parse_values(float)(text) or None, _format_values(_format_float)),
+    ("experiment", "k", "k", float, _format_float),
+    ("experiment", "n_dirs", "n_dirs", int, str),
+    ("experiment", "quad_nodes", "quad_nodes", int, str),
+    ("imaging", "which", "which", str.strip, str),
+    ("imaging", "rho", "rho", float, _format_float),
+    ("imaging", "extent", "extent", _parse_values(float), _format_values(_format_float)),
+    ("imaging", "resolution", "resolution", _parse_values(int), _format_values(str)),
+    ("noise", "delta", "delta", float, _format_float),
+    ("noise", "seed", "seed", int, str),
+    ("mask", "rows", "mask_rows", _parse_indices, _format_indices),
+    ("mask", "cols", "mask_cols", _parse_indices, _format_indices),
+    ("output", "dir", "out_dir", str.strip, str),
+    ("output", "write_pgm", "write_pgm", _parse_bool, lambda v: "true" if v else "false"),
+)
+
+
+def config_text(cfg: ExperimentConfig) -> str:
+    """Serialize the effective configuration (re-readable by parse_config)."""
+    if cfg.shape_params is None:
+        cfg = replace(cfg, shape_params=cfg.curve().params)
+    sections = [
+        "\n".join([f"[{section}]"] + [f"{key} = {fmt(getattr(cfg, attr))}"
+                                       for _, key, attr, _, fmt in rows])
+        for section, rows in itertools.groupby(CONFIG_FIELDS, key=lambda row: row[0])
+    ]
+    return "\n\n".join(sections) + "\n"
+
+
 def parse_config(source: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse INI text (or a file path) on top of the defaults."""
     cfg = base if base is not None else ExperimentConfig()
@@ -212,59 +230,14 @@ def parse_config(source: str, base: ExperimentConfig | None = None) -> Experimen
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
+    updates = {}
     try:
-        updates = {}
-        if parser.has_section("experiment"):
-            s = parser["experiment"]
-            if "shape" in s:
-                updates["shape_kind"] = s["shape"].strip()
-            if "shape_params" in s and s["shape_params"].strip():
-                updates["shape_params"] = tuple(
-                    float(v) for v in s["shape_params"].replace(",", " ").split()
-                )
-            if "k" in s:
-                updates["k"] = float(s["k"])
-            if "n_dirs" in s:
-                updates["n_dirs"] = int(s["n_dirs"])
-            if "quad_nodes" in s:
-                updates["quad_nodes"] = int(s["quad_nodes"])
-        if parser.has_section("imaging"):
-            s = parser["imaging"]
-            if "which" in s:
-                updates["which"] = s["which"].strip()
-            if "rho" in s:
-                updates["rho"] = float(s["rho"])
-            if "extent" in s:
-                vals = tuple(float(v) for v in s["extent"].replace(",", " ").split())
-                if len(vals) != 4:
-                    raise ConfigError("extent needs four values: x_min, x_max, y_min, y_max")
-                updates["extent"] = vals
-            if "resolution" in s:
-                vals = tuple(int(v) for v in s["resolution"].replace(",", " ").split())
-                if len(vals) != 2:
-                    raise ConfigError("resolution needs two values: nx, ny")
-                updates["resolution"] = vals
-        if parser.has_section("noise"):
-            s = parser["noise"]
-            if "delta" in s:
-                updates["delta"] = float(s["delta"])
-            if "seed" in s:
-                updates["seed"] = int(s["seed"])
-        if parser.has_section("mask"):
-            s = parser["mask"]
-            if "rows" in s:
-                updates["mask_rows"] = _parse_indices(s["rows"])
-            if "cols" in s:
-                updates["mask_cols"] = _parse_indices(s["cols"])
-        if parser.has_section("output"):
-            s = parser["output"]
-            if "dir" in s:
-                updates["out_dir"] = s["dir"].strip()
-            if "write_pgm" in s:
-                updates["write_pgm"] = s.getboolean("write_pgm")
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        for section, key, attr, parse, _ in CONFIG_FIELDS:
+            if parser.has_option(section, key):
+                value = parse(parser.get(section, key))
+                if value is not None:
+                    updates[attr] = value
+    except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
     return replace(cfg, **updates).validate()
@@ -291,12 +264,14 @@ def _atomic_write(path: str, writer) -> None:
 # commands
 # ---------------------------------------------------------------------------
 def cmd_forward(cfg: ExperimentConfig) -> str:
-    """Solve the scattering problem and write the far-field matrix file."""
+    """Solve, check the operator identity, and write the far-field matrix file only if it passes."""
     ff = assemble_far_field_matrix(cfg.curve(), cfg.k, cfg.n_dirs, cfg.quad_nodes)
-    path = os.path.join(cfg.out_dir, f"farfield_{cfg.shape_kind}.txt")
-    _atomic_write(path, lambda p: save_farfield(ff, p))
     rep = check_operator_identity(ff, tolerance=1e-2)
     print(rep.line())
+    if not rep.passed:
+        raise VerificationFailure("far-field matrix fails the operator identity; nothing written")
+    path = os.path.join(cfg.out_dir, f"farfield_{cfg.shape_kind}.txt")
+    _atomic_write(path, lambda p: save_farfield(ff, p))
     print(f"wrote {path}")
     return path
 
@@ -340,8 +315,8 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     return path
 
 
-def cmd_verify(cfg: ExperimentConfig) -> bool:
-    """Run the verification suite; prints one record per check."""
+def cmd_verify(cfg: ExperimentConfig) -> None:
+    """Run the verification suite; prints one record per check, raises if any fails."""
     k = cfg.k
     lines = []
     ok_all = True
@@ -364,8 +339,8 @@ def cmd_verify(cfg: ExperimentConfig) -> bool:
     record("identity_oracle", "circle", cfg.n_dirs,
            check_operator_identity(orc).residual, 1e-6)
 
-    curve = cfg.curve()
-    ff = assemble_far_field_matrix(curve, k, cfg.n_dirs, cfg.quad_nodes)
+    solver = ScatteringSolver(cfg.curve(), k, cfg.quad_nodes)
+    ff = solver.far_field_matrix(cfg.n_dirs)
     record("identity_bie", cfg.shape_kind, cfg.n_dirs,
            check_operator_identity(ff).residual, 1e-2)
 
@@ -380,7 +355,7 @@ def cmd_verify(cfg: ExperimentConfig) -> bool:
     record("equivalence_bie", cfg.shape_kind, cfg.n_dirs,
            check_equivalence_chain(ff, zs), 0.05)
 
-    big = assemble_far_field_matrix(curve, k, DECAY_DIRECTIONS, cfg.quad_nodes)
+    big = solver.far_field_matrix(DECAY_DIRECTIONS)
     for which, rho in (("ip", 1.0), ("ip", 2.0), ("norm", 1.0), ("norm", 2.0)):
         expected = -rho if which == "ip" else -rho / 2.0
         slope = check_decay_slope(big, which, rho, DECAY_RADII)
@@ -388,7 +363,9 @@ def cmd_verify(cfg: ExperimentConfig) -> bool:
                abs(slope - expected), 0.2 * abs(expected))
 
     print("\n".join(lines))
-    return ok_all
+    if not ok_all:
+        raise VerificationFailure("a check exceeded its tolerance")
+    print("verification: ok")
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +398,15 @@ def _effective_config(args) -> ExperimentConfig:
     base = PRESETS[args.preset] if args.preset else ExperimentConfig()
     cfg = parse_config(args.config, base=base) if args.config else base.validate()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed).validate()
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
 
 
-def _check_thread_cap() -> None:
-    cap = os.environ.get("PLATE_ECHO_THREADS")
-    if cap is None:
-        return
-    try:
-        value = int(cap)
-    except ValueError:
-        raise ConfigError(f"PLATE_ECHO_THREADS must be a positive integer, got {cap!r}")
-    if value < 1:
-        raise ConfigError("PLATE_ECHO_THREADS must be >= 1")
-    # computation is serial (one worker), which satisfies any positive cap
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_thread_cap()
         cfg = _effective_config(args)
         if args.command == "forward":
             cmd_forward(cfg)
@@ -454,14 +415,14 @@ def main(argv=None) -> int:
         elif args.command == "oracle":
             cmd_oracle(cfg)
         elif args.command == "verify":
-            if not cmd_verify(cfg):
-                print("verification: FAIL", file=sys.stderr)
-                return EXIT_VERIFY
-            print("verification: ok")
+            cmd_verify(cfg)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except VerificationFailure as exc:
+        print(f"verification: FAIL ({exc})", file=sys.stderr)
+        return EXIT_VERIFY
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -95,15 +95,6 @@ def discretize(curve: ParametricCurve, n_nodes: int, offset: float = 0.0) -> Bou
 
 
 @dataclass(frozen=True)
-class DensityPair:
-    """Boundary densities (phi1, phi2) at the nodes for one incident direction."""
-
-    phi1: np.ndarray
-    phi2: np.ndarray
-    incident_direction: tuple
-
-
-@dataclass(frozen=True)
 class FarFieldMatrix:
     """Multi-static far-field matrix entry(i,j) = u_inf(xhat_i, d_j)."""
 
@@ -153,7 +144,8 @@ def _pairwise(disc: BoundaryDiscretization):
     x = disc.x
     dx = x[:, None, :] - x[None, :, :]
     r = np.hypot(dx[..., 0], dx[..., 1])
-    scale = max(disc.curve.diameter(), 1e-30)
+    # bounding-box diagonal of the nodes: the curve's size without a pairwise scan
+    scale = max(float(np.hypot(*np.ptp(x, axis=0))), 1e-30)
     offdiag = ~np.eye(disc.n_nodes, dtype=bool)
     if r[offdiag].min() < 1e-12 * scale:
         raise RuntimeError("degenerate boundary: coincident quadrature nodes")
@@ -257,10 +249,14 @@ def _as_circulant(weights: np.ndarray) -> np.ndarray:
 
 
 def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
-    """Right-hand side -2 (u_inc, dnu u_inc) at the nodes for direction d."""
+    """Right-hand side -2 (u_inc, dnu u_inc) at the nodes for incident direction(s) d.
+
+    One direction of shape (2,) gives a vector of length 2 n_nodes; an (M, 2)
+    array gives a (2 n_nodes, M) matrix, one column per direction.
+    """
     d = np.asarray(d, dtype=float)
-    phase = np.exp(1j * k * (disc.x @ d))
-    dn = 1j * k * (disc.normal @ d) * phase
+    phase = np.exp(1j * k * (disc.x @ d.T))
+    dn = 1j * k * (disc.normal @ d.T) * phase
     return -2.0 * np.concatenate([phase, dn])
 
 
@@ -271,39 +267,52 @@ def _backward_error(system, sol, rhs) -> float:
     return float(num / den)
 
 
-def solve_densities(system: np.ndarray, disc: BoundaryDiscretization, k: float, d) -> DensityPair:
-    """Solve the assembled system for one incident plane-wave direction."""
-    rhs = incident_trace(disc, k, d)
-    sol = np.linalg.solve(system, rhs)
-    resid = _backward_error(system, sol, rhs)
-    if not np.all(np.isfinite(sol)) or resid > SOLVE_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"linear solve failed (relative residual {resid:.3e}); "
-            "the discretized system may be singular"
-        )
-    m2 = disc.n_nodes
-    d = np.asarray(d, dtype=float)
-    return DensityPair(phi1=sol[:m2], phi2=sol[m2:], incident_direction=(d[0], d[1]))
+class ScatteringSolver:
+    """One boundary discretization, assembled and LU-factored once.
 
-
-def far_field(disc: BoundaryDiscretization, k: float, density: DensityPair, xhat):
-    """Far-field pattern of the solved field at observation direction(s) xhat.
-
-    u_inf(xhat) = -ik int nu(y).xhat e^{-ik xhat.y} phi1(y) ds(y), evaluated
-    with the trapezoid rule; only phi1 enters (the evanescent part carries no
-    far field).
+    Every call to `solve` or `far_field_matrix` reuses the factorization, so
+    any number of direction sets cost one assembly.
     """
-    xh = np.atleast_2d(np.asarray(xhat, dtype=float))
-    E = _far_field_rows(disc, k, xh)
-    vals = E @ density.phi1
-    return vals if vals.size > 1 else complex(vals[0])
 
+    def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
+        self.k = float(k)
+        self.disc = discretize(curve, n_nodes, offset=node_offset)
+        self.system = assemble_system(self.disc, self.k)
+        self.lu = lu_factor(self.system)
 
-def _far_field_rows(disc: BoundaryDiscretization, k: float, xh: np.ndarray) -> np.ndarray:
-    w = np.pi / disc.half
-    proj = xh @ disc.normal_raw.T                  # (M, 2n): n_j . xhat_i
-    phase = np.exp(-1j * k * (xh @ disc.x.T))      # (M, 2n)
-    return -1j * k * w * proj * phase
+    def solve(self, directions):
+        """Densities (phi1, phi2) for one incident direction or an (M, 2) array of them.
+
+        Returns two (n_nodes, M) arrays, column j belonging to directions[j].
+        """
+        rhs = incident_trace(self.disc, self.k, np.atleast_2d(directions))
+        sols = lu_solve(self.lu, rhs)
+        resid = _backward_error(self.system, sols, rhs)
+        if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"linear solve failed (relative residual {resid:.3e}); "
+                "the discretized system may be singular"
+            )
+        m2 = self.disc.n_nodes
+        return sols[:m2], sols[m2:]
+
+    def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
+        """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations.
+
+        u_inf(xhat) = -ik int nu(y).xhat e^{-ik xhat.y} phi1(y) ds(y), evaluated
+        with the trapezoid rule; only phi1 enters (the evanescent part carries
+        no far field).
+        """
+        if n_dirs < 4:
+            raise ValueError("n_dirs must be >= 4")
+        dirs = uniform_directions(n_dirs)
+        phi1, _ = self.solve(dirs)
+        disc = self.disc
+        w = np.pi / disc.half
+        proj = dirs @ disc.normal_raw.T                    # (N, 2n): n_j . xhat_i
+        phase = np.exp(-1j * self.k * (dirs @ disc.x.T))   # (N, 2n)
+        E = -1j * self.k * w * proj * phase
+        return FarFieldMatrix(k=self.k, directions=dirs, entries=E @ phi1, shape_kind=disc.curve.kind)
 
 
 def assemble_far_field_matrix(
@@ -313,23 +322,8 @@ def assemble_far_field_matrix(
     n_nodes: int,
     node_offset: float = 0.0,
 ) -> FarFieldMatrix:
-    """Build the N x N multi-static matrix: one assembly, N solves, N^2 evaluations."""
-    if n_dirs < 4:
-        raise ValueError("n_dirs must be >= 4")
-    disc = discretize(curve, n_nodes, offset=node_offset)
-    A = assemble_system(disc, k)
-    lu = lu_factor(A)
-    dirs = uniform_directions(n_dirs)
-    rhs = np.stack([incident_trace(disc, k, d) for d in dirs], axis=-1)
-    sols = lu_solve(lu, rhs)
-    resid = _backward_error(A, sols, rhs)
-    if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
-        raise RuntimeError(f"linear solve failed (relative residual {resid:.3e})")
-    phi1 = sols[: disc.n_nodes, :]
-    E = _far_field_rows(disc, k, dirs)
-    return FarFieldMatrix(
-        k=float(k), directions=dirs, entries=E @ phi1, shape_kind=curve.kind
-    )
+    """Build the N x N multi-static matrix from a fresh ScatteringSolver."""
+    return ScatteringSolver(curve, k, n_nodes, node_offset).far_field_matrix(n_dirs)
 
 
 # ---------------------------------------------------------------------------

@@ -74,25 +74,22 @@ def apply_mask(ff: FarFieldMatrix, mask: ApertureMask) -> FarFieldMatrix:
 
 
 def phi_z(k: float, directions: np.ndarray, z) -> np.ndarray:
-    """Test vector with components e^{-ik z.d_i}; unit modulus per component."""
-    z = np.asarray(z, dtype=float)
-    return np.exp(-1j * k * (np.asarray(directions) @ z))
+    """Test vector(s) with components e^{-ik z.d_i}; unit modulus per component.
+
+    One point z of shape (2,) gives a vector of length N; an (m, 2) array of
+    points gives an (m, N) matrix, one test vector per row.
+    """
+    return np.exp(-1j * k * (np.asarray(z, dtype=float) @ np.asarray(directions).T))
 
 
 def w_ip(ff: FarFieldMatrix, z, rho: float) -> float:
-    """Inner-product indicator |(phi_z, F phi_z)|^rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    p = phi_z(ff.k, ff.directions, z)
-    return float(np.abs(np.vdot(p, ff.entries @ p)) ** rho)
+    """Inner-product indicator |(phi_z, F phi_z)|^rho at one point."""
+    return float(indicator_values(ff, z, rho, "ip")[0])
 
 
 def w_norm(ff: FarFieldMatrix, z, rho: float) -> float:
-    """Norm indicator ||F phi_z||^rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    p = phi_z(ff.k, ff.directions, z)
-    return float(np.linalg.norm(ff.entries @ p) ** rho)
+    """Norm indicator ||F phi_z||^rho at one point."""
+    return float(indicator_values(ff, z, rho, "norm")[0])
 
 
 def indicator_values(ff: FarFieldMatrix, points, rho: float, which: str) -> np.ndarray:
@@ -101,9 +98,8 @@ def indicator_values(ff: FarFieldMatrix, points, rho: float, which: str) -> np.n
         raise ValueError("which must be 'ip' or 'norm'")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    P = np.exp(-1j * ff.k * (pts @ ff.directions.T))   # (m, N)
-    FP = P @ ff.entries.T                              # (m, N): (F phi_z)_i per row
+    P = phi_z(ff.k, ff.directions, np.atleast_2d(points))   # (m, N)
+    FP = P @ ff.entries.T                                   # (m, N): (F phi_z)_i per row
     if which == "ip":
         vals = np.abs(np.einsum("mi,mi->m", P.conj(), FP))
         return vals**rho

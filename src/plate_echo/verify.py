@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import FarFieldMatrix
+from .forward import FarFieldMatrix, uniform_directions
 from .geometry import ParametricCurve
 from .imaging import ImagingGrid, indicator_values
 from .specfun import bessel_j
@@ -67,8 +67,7 @@ def check_funk_hecke(k: float, x, z, n_dirs: int) -> float:
         raise ValueError("n_dirs must be >= 8")
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-    d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    d = uniform_directions(n_dirs)
     quad = (2.0 * np.pi / n_dirs) * np.exp(1j * k * (d @ (x - z))).sum()
     exact = 2.0 * np.pi * bessel_j(0, k * np.linalg.norm(x - z))
     return float(abs(quad - exact))
@@ -100,12 +99,9 @@ def check_equivalence_chain(ff: FarFieldMatrix, sample_points) -> float:
     |(phi_z, F phi_z)| <= sqrt(2pi) ||F phi_z|| (1+eps) in the weighted
     (L2-approximating) quantities; returns max(eps, 0) over the points.
     """
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     w = 2.0 * np.pi / ff.n_dirs
-    P = np.exp(-1j * ff.k * (pts @ ff.directions.T))
-    FP = P @ ff.entries.T
-    ip_w = w**2 * np.abs(np.einsum("mi,mi->m", P.conj(), FP))
-    nrm2_w = w**3 * np.einsum("mi,mi->m", FP.conj(), FP).real
+    ip_w = w**2 * indicator_values(ff, sample_points, 1.0, "ip")
+    nrm2_w = w**3 * indicator_values(ff, sample_points, 2.0, "norm")
     live = (ip_w > 0) | (nrm2_w > 0)
     if not np.any(live):
         return 0.0

@@ -64,6 +64,35 @@ def test_config_round_trip():
     assert again == cfg
 
 
+def test_default_config_text():
+    assert config_text(ExperimentConfig()) == (
+        "[experiment]\n"
+        "shape = star\n"
+        "shape_params = 1.5, 0.29999999999999999, 4\n"
+        "k = 4\n"
+        "n_dirs = 64\n"
+        "quad_nodes = 128\n"
+        "\n"
+        "[imaging]\n"
+        "which = ip\n"
+        "rho = 4\n"
+        "extent = -4, 4, -4, 4\n"
+        "resolution = 150, 150\n"
+        "\n"
+        "[noise]\n"
+        "delta = 0\n"
+        "seed = 0\n"
+        "\n"
+        "[mask]\n"
+        "rows = \n"
+        "cols = \n"
+        "\n"
+        "[output]\n"
+        "dir = .\n"
+        "write_pgm = false\n"
+    )
+
+
 def test_config_validation_errors():
     with pytest.raises(Exception):
         parse_config("[experiment]\nk = 0\n")
@@ -89,6 +118,17 @@ def test_forward_circle_is_circulant(tmp_path, capsys):
         np.abs(np.roll(np.roll(e, s, 0), s, 1) - e).max() for s in (1, 5)
     ) / np.abs(e).max()
     assert dev < 1e-8
+
+
+def test_forward_refuses_failed_identity(tmp_path, capsys):
+    # the star at k = 12 lies outside the solver's accurate range; the
+    # identity check catches it and no far-field file may appear
+    cfg = tmp_path / "k12.ini"
+    cfg.write_text("[experiment]\nk = 12\n")
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+    assert "pass=0" in capsys.readouterr().out
+    assert not (out / "farfield_star.txt").exists()
 
 
 def test_forward_rerun_byte_identical(tmp_path):
@@ -147,6 +187,23 @@ def test_verify_default_passes(tmp_path, capsys):
     assert out.count("pass=1") >= 12
 
 
+def test_verify_assembles_each_system_once(monkeypatch):
+    # one solver serves both star matrices (N and the decay checks' 1024
+    # directions); the disk comparison assembles the second system
+    import plate_echo.forward as forward
+
+    calls = []
+    original = forward.assemble_system
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].curve.kind)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "assemble_system", counting)
+    assert main(["verify"]) == EXIT_OK
+    assert sorted(calls) == ["circle", "star"]
+
+
 def test_verify_underresolved_fails(tmp_path):
     cfg = tmp_path / "under.ini"
     cfg.write_text("[experiment]\nquad_nodes = 16\n")
@@ -156,17 +213,6 @@ def test_verify_underresolved_fails(tmp_path):
 def test_k_zero_is_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[experiment]\nk = 0\n")
-    assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
-
-
-def test_thread_cap_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLATE_ECHO_THREADS", "potato")
-    assert main(["forward", "--out", str(tmp_path)]) == EXIT_CONFIG
-    monkeypatch.setenv("PLATE_ECHO_THREADS", "0")
-    assert main(["forward", "--out", str(tmp_path)]) == EXIT_CONFIG
-    monkeypatch.setenv("PLATE_ECHO_THREADS", "2")
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[experiment]\nk = 0\n")  # fail later, on config
     assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
 
 

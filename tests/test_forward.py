@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from plate_echo.forward import (
-    DensityPair,
+    ScatteringSolver,
     assemble_far_field_matrix,
     assemble_system,
     discretize,
-    far_field,
     incident_trace,
     kress_log_weights,
     load_farfield,
     save_farfield,
-    solve_densities,
     uniform_directions,
 )
 from plate_echo.geometry import make_curve
-from plate_echo.oracle import disk_far_field, solve_disk
 
 K = 4.0
 
@@ -114,44 +111,22 @@ def test_solve_linearity():
 def test_disk_rotational_covariance():
     # rotating the incidence by one node spacing rolls the disk densities
     m2 = 64
-    disc = discretize(make_curve("circle"), m2)
-    A = assemble_system(disc, K)
+    solver = ScatteringSolver(make_curve("circle"), K, m2)
     shift = 2  # nodes
     beta = 2 * np.pi * shift / m2
-    d0 = np.array([1.0, 0.0])
-    d1 = np.array([np.cos(beta), np.sin(beta)])
-    p0 = solve_densities(A, disc, K, d0)
-    p1 = solve_densities(A, disc, K, d1)
-    assert np.allclose(p1.phi1, np.roll(p0.phi1, shift), atol=1e-10)
-    assert np.allclose(p1.phi2, np.roll(p0.phi2, shift), atol=1e-10)
+    phi1, phi2 = solver.solve(np.array([[1.0, 0.0], [np.cos(beta), np.sin(beta)]]))
+    assert np.allclose(phi1[:, 1], np.roll(phi1[:, 0], shift), atol=1e-10)
+    assert np.allclose(phi2[:, 1], np.roll(phi2[:, 0], shift), atol=1e-10)
 
 
-def test_far_field_zero_density():
+def test_incident_trace_batch_matches_single_directions():
+    # the (M, 2) form must agree column by column with one direction at a time
     disc = discretize(make_curve("star"), 64)
-    zero = DensityPair(
-        phi1=np.zeros(64, complex), phi2=np.zeros(64, complex), incident_direction=(1, 0)
-    )
-    assert far_field(disc, K, zero, (1.0, 0.0)) == 0.0
-
-
-def test_far_field_ignores_phi2():
-    disc = discretize(make_curve("star"), 64)
-    A = assemble_system(disc, K)
-    dens = solve_densities(A, disc, K, (1.0, 0.0))
-    perturbed = DensityPair(
-        phi1=dens.phi1, phi2=dens.phi2 + 17.0, incident_direction=dens.incident_direction
-    )
-    xh = np.array([np.cos(0.3), np.sin(0.3)])
-    assert far_field(disc, K, dens, xh) == far_field(disc, K, perturbed, xh)
-
-
-def test_disk_far_field_matches_oracle_single_direction():
-    disc = discretize(make_curve("circle"), 128)
-    A = assemble_system(disc, K)
-    dens = solve_densities(A, disc, K, (1.0, 0.0))
-    got = far_field(disc, K, dens, (1.0, 0.0))
-    want = disk_far_field(solve_disk(1.0, K, 26, (1.0, 0.0)), np.array([1.0, 0.0]))
-    assert abs(got - want) / abs(want) < 1e-6
+    dirs = uniform_directions(7)
+    batch = incident_trace(disc, K, dirs)
+    single = np.stack([incident_trace(disc, K, d) for d in dirs], axis=-1)
+    assert batch.shape == (128, 7)
+    assert np.allclose(batch, single, rtol=0, atol=1e-13)
 
 
 def test_disk_matrix_is_circulant(ff_disk):
