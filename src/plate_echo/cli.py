@@ -220,7 +220,7 @@ def config_text(cfg: ExperimentConfig) -> str:
 def parse_config(source: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse INI text (or a file path) on top of the defaults."""
     cfg = base if base is not None else ExperimentConfig()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         if "\n" in source or "=" in source:
             parser.read_string(source)

@@ -41,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import ParametricCurve
-from .specfun import EULER_GAMMA
+from .specfun import EULER_GAMMA, bessel_i, bessel_k, hankel1
 
 SOLVE_RESIDUAL_TOL = 1e-10
 
@@ -159,11 +158,6 @@ def _pairwise(disc: BoundaryDiscretization):
     return r, lsin, q_at_src, q_at_obs
 
 
-def _log_quadrature(weights_log, half, kernel1, kernel2):
-    """Combine split kernels: R o A1 + (pi/n) A2."""
-    return weights_log * kernel1 + (np.pi / half) * kernel2
-
-
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
@@ -177,59 +171,49 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
     r, lsin, q_src, q_obs = _pairwise(disc)
     kr = k * r
     Rlog = _as_circulant(kress_log_weights(half))
-    diag_idx = np.arange(m2)
     eye = np.eye(m2)
 
+    def split(X1, X, diag1, diag2):
+        """R o X1 + (pi/n) X2 for the split X = X1 lsin + X2, with both diagonals set."""
+        X2 = X - X1 * lsin
+        np.fill_diagonal(X1, diag1)
+        np.fill_diagonal(X2, diag2)
+        return Rlog * X1 + (np.pi / half) * X2
+
+    # H^(1)_n = J_n + i Y_n, so the real parts are the J_n of the log splits
+    h0 = hankel1(0, kr)
+    h1 = hankel1(1, kr)
+
     # --- block (1,1): Helmholtz double layer K + I ---------------------------
-    j1 = sp.j1(kr)
-    h1 = sp.hankel1(1, kr)
-    L1 = -(k / (2.0 * np.pi)) * j1 * q_src / r
+    L1 = -(k / (2.0 * np.pi)) * h1.real * q_src / r
     L = (0.5j * k) * h1 * q_src / r
-    L2 = L - L1 * lsin
-    L1[diag_idx, diag_idx] = 0.0
-    L2[diag_idx, diag_idx] = disc.curvature_term / (2.0 * np.pi)
-    block_K = _log_quadrature(Rlog, half, L1, L2) + eye
+    block_K = split(L1, L, 0.0, disc.curvature_term / (2.0 * np.pi)) + eye
 
     # --- block (1,2): modified-Helmholtz single layer ------------------------
-    i0 = sp.i0(kr)
-    k0 = sp.k0(kr)
-    M1 = -(1.0 / (2.0 * np.pi)) * i0 * speed[None, :]
-    M = (1.0 / np.pi) * k0 * speed[None, :]
-    M2 = M - M1 * lsin
-    M1[diag_idx, diag_idx] = -(1.0 / (2.0 * np.pi)) * speed
-    M2[diag_idx, diag_idx] = -(1.0 / np.pi) * (np.log(0.5 * k * speed) + EULER_GAMMA) * speed
-    block_S = _log_quadrature(Rlog, half, M1, M2)
+    M1 = -(1.0 / (2.0 * np.pi)) * bessel_i(0, kr) * speed[None, :]
+    M = (1.0 / np.pi) * bessel_k(0, kr) * speed[None, :]
+    block_S = split(
+        M1, M,
+        -(1.0 / (2.0 * np.pi)) * speed,
+        -(1.0 / np.pi) * (np.log(0.5 * k * speed) + EULER_GAMMA) * speed,
+    )
 
     # --- block (2,2): modified-Helmholtz adjoint double layer - I ------------
-    i1 = sp.i1(kr)
-    k1 = sp.k1(kr)
     geo = q_obs * speed[None, :] / (speed[:, None] * r)
-    P1 = -(k / (2.0 * np.pi)) * i1 * geo
-    P = -(k / np.pi) * k1 * geo
-    P2 = P - P1 * lsin
-    P1[diag_idx, diag_idx] = 0.0
-    P2[diag_idx, diag_idx] = disc.curvature_term / (2.0 * np.pi)
-    block_Kp = _log_quadrature(Rlog, half, P1, P2) - eye
+    P1 = -(k / (2.0 * np.pi)) * bessel_i(1, kr) * geo
+    P = -(k / np.pi) * bessel_k(1, kr) * geo
+    block_Kp = split(P1, P, 0.0, disc.curvature_term / (2.0 * np.pi)) - eye
 
     # --- block (2,1): hypersingular block through the Maue split -------------
-    j0 = sp.j0(kr)
-    h0 = sp.hankel1(0, kr)
-    G1 = -(1.0 / (4.0 * np.pi)) * j0
+    G1 = -(1.0 / (4.0 * np.pi)) * h0.real
     G = 0.25j * h0
-    G2 = G - G1 * lsin
-    G1[diag_idx, diag_idx] = -(1.0 / (4.0 * np.pi))
     diag_G2 = 0.25j - (1.0 / (2.0 * np.pi)) * (np.log(0.5 * k * speed) + EULER_GAMMA)
-    G2[diag_idx, diag_idx] = diag_G2
-    A_phi = _log_quadrature(Rlog, half, G1, G2)
-
     nu = disc.normal
     nunu = nu @ nu.T
     N1 = G1 * nunu * speed[None, :]
     N = G * nunu * speed[None, :]
-    N2 = N - N1 * lsin
-    N1[diag_idx, diag_idx] = -(1.0 / (4.0 * np.pi)) * speed
-    N2[diag_idx, diag_idx] = diag_G2 * speed
-    A_nu = _log_quadrature(Rlog, half, N1, N2)
+    A_phi = split(G1, G, -(1.0 / (4.0 * np.pi)), diag_G2)
+    A_nu = split(N1, N, -(1.0 / (4.0 * np.pi)) * speed, diag_G2 * speed)
 
     D = fourier_differentiation_matrix(m2)
     block_T = 2.0 * (D @ A_phi @ D) / speed[:, None] + 2.0 * k**2 * A_nu

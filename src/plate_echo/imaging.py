@@ -20,6 +20,8 @@ import numpy as np
 
 from .forward import FarFieldMatrix
 
+INDICATOR_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -93,17 +95,26 @@ def w_norm(ff: FarFieldMatrix, z, rho: float) -> float:
 
 
 def indicator_values(ff: FarFieldMatrix, points, rho: float, which: str) -> np.ndarray:
-    """Vectorized indicator over an (m, 2) array of sampling points."""
+    """Vectorized indicator over an (m, 2) array of sampling points.
+
+    Points are taken INDICATOR_BLOCK at a time, so the (points, N) test-vector
+    temporaries stay bounded however fine the grid is.
+    """
     if which not in ("ip", "norm"):
         raise ValueError("which must be 'ip' or 'norm'")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    P = phi_z(ff.k, ff.directions, np.atleast_2d(points))   # (m, N)
-    FP = P @ ff.entries.T                                   # (m, N): (F phi_z)_i per row
-    if which == "ip":
-        vals = np.abs(np.einsum("mi,mi->m", P.conj(), FP))
-        return vals**rho
-    return np.linalg.norm(FP, axis=1) ** rho
+    points = np.atleast_2d(points)
+    vals = np.empty(len(points))
+    for start in range(0, len(points), INDICATOR_BLOCK):
+        block = slice(start, start + INDICATOR_BLOCK)
+        P = phi_z(ff.k, ff.directions, points[block])   # (m, N)
+        FP = P @ ff.entries.T                           # (m, N): (F phi_z)_i per row
+        if which == "ip":
+            vals[block] = np.abs(np.einsum("mi,mi->m", P.conj(), FP))
+        else:
+            vals[block] = np.linalg.norm(FP, axis=1)
+    return vals**rho
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ from .specfun import (
 )
 
 
+MODE_TAIL_TOL = 1e-12
+ORDER_STEP = 4
+MAX_ORDER_STEPS = 16
+
+
 @dataclass(frozen=True)
 class DiskScatteringSolution:
     """Mode coefficients of the clamped-disk scattering problem.
@@ -93,6 +98,26 @@ def _mode_ratios(a: float, k: float, order: int):
     return full, fullb, J, H, K
 
 
+def _mode_tail(ra, rb, H, K) -> float:
+    """Boundary contribution of the top retained mode, |ra_N H_N(ka)| + |rb_N K_N(ka)|."""
+    return abs(ra[-1] * H[-1]) + abs(rb[-1] * K[-1])
+
+
+def _default_order(a: float, k: float) -> int:
+    """Truncation order for the disk: ceil(ka) + 24, grown by ORDER_STEP until the tail converges.
+
+    Gives up after MAX_ORDER_STEPS steps and returns the last order, for which
+    solve_disk then raises its tail error.
+    """
+    order = int(np.ceil(k * a)) + 24
+    for _ in range(MAX_ORDER_STEPS):
+        ra, rb, _, H, K = _mode_ratios(a, k, order)
+        if _mode_tail(ra, rb, H, K) <= MODE_TAIL_TOL:
+            break
+        order += ORDER_STEP
+    return order
+
+
 def solve_disk(a: float, k: float, order: int, d) -> DiskScatteringSolution:
     """Solve the clamped-disk problem for incident direction d (unit vector).
 
@@ -113,10 +138,10 @@ def solve_disk(a: float, k: float, order: int, d) -> DiskScatteringSolution:
     a_coef = c * ra
     b_coef = c * rb
 
-    tail = abs(ra[-1] * H[-1]) + abs(rb[-1] * K[-1])
-    if tail > 1e-12:
+    tail = _mode_tail(ra, rb, H, K)
+    if tail > MODE_TAIL_TOL:
         raise RuntimeError(
-            f"mode tail not converged: top-mode boundary contribution {tail:.3e} > 1e-12"
+            f"mode tail not converged: top-mode boundary contribution {tail:.3e} > {MODE_TAIL_TOL:g}"
         )
     return DiskScatteringSolution(
         radius=float(a), k=float(k), order=int(order),
@@ -159,13 +184,14 @@ def disk_far_field_matrix(a: float, k: float, n_dirs: int, order: int | None = N
     """Multi-static far-field matrix of the clamped disk on uniform directions.
 
     Entries u_inf(xhat_i, d_j) for theta_i = 2 pi i / n_dirs. Uses the
-    direction-independent mode responses, so the cost is one mode solve.
-    Returns a forward.FarFieldMatrix.
+    direction-independent mode responses, so one mode solve serves every
+    direction. Without an explicit order, the order starts at ceil(ka) + 24
+    and grows until the mode tail converges. Returns a forward.FarFieldMatrix.
     """
     from .forward import FarFieldMatrix, uniform_directions
 
     if order is None:
-        order = int(np.ceil(k * a)) + 24
+        order = _default_order(a, k)
     sol = solve_disk(a, k, order, (1.0, 0.0))
     n = sol.modes()
     mu = -4j * sol.reflect

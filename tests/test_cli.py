@@ -93,6 +93,12 @@ def test_default_config_text():
     )
 
 
+def test_percent_in_config_value():
+    cfg = parse_config("[output]\ndir = a%b\n")
+    assert cfg.out_dir == "a%b"
+    assert parse_config(config_text(cfg)) == cfg
+
+
 def test_config_validation_errors():
     with pytest.raises(Exception):
         parse_config("[experiment]\nk = 0\n")
@@ -178,6 +184,13 @@ def test_oracle_command(tmp_path):
     assert ff.n_dirs == 64
     code = main(["oracle", "--preset", "paper-star", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
+
+
+def test_oracle_command_at_k16(tmp_path):
+    cfg = tmp_path / "circle.ini"
+    cfg.write_text("[experiment]\nshape = circle\nk = 16\n")
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert load_farfield(tmp_path / "farfield_circle_oracle.txt").k == 16.0
 
 
 def test_verify_default_passes(tmp_path, capsys):

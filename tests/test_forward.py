@@ -174,7 +174,7 @@ def test_identity_over_random_star_family(scale, amp, petals):
     from plate_echo.verify import check_operator_identity
 
     curve = make_curve("star", (scale, amp, float(petals)))
-    ff = assemble_far_field_matrix(curve, K, 32, 128)
+    ff = assemble_far_field_matrix(curve, K, 64, 256)
     assert check_operator_identity(ff).residual < 1e-6
 
 

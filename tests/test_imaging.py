@@ -9,6 +9,7 @@ from scipy.stats import spearmanr
 from plate_echo.forward import FarFieldMatrix, assemble_far_field_matrix, uniform_directions
 from plate_echo.geometry import make_curve
 from plate_echo.imaging import (
+    INDICATOR_BLOCK,
     ApertureMask,
     NoiseModel,
     add_noise,
@@ -150,6 +151,16 @@ class TestIndicators:
             p = np.exp(-1j * K * (ff_star.directions @ z))
             single.append(abs(np.vdot(p, ff_star.entries @ p)) ** 4.0)
         assert np.allclose(batch, single, rtol=1e-12)
+
+    def test_blocks_match_whole_array_evaluation(self, ff_star):
+        # more points than one block, against the unblocked (points, N) formula
+        pts = np.random.default_rng(11).uniform(-4, 4, size=(INDICATOR_BLOCK + 7, 2))
+        P = np.exp(-1j * K * (pts @ ff_star.directions.T))
+        FP = P @ ff_star.entries.T
+        ip = np.abs(np.einsum("mi,mi->m", P.conj(), FP)) ** 4.0
+        norm = np.linalg.norm(FP, axis=1) ** 8.0
+        assert np.allclose(indicator_values(ff_star, pts, 4.0, "ip"), ip, rtol=1e-12)
+        assert np.allclose(indicator_values(ff_star, pts, 8.0, "norm"), norm, rtol=1e-12)
 
     def test_far_point_much_smaller_than_centroid(self, ff_star):
         # at rho = 4 the indicator drops by orders of magnitude ten units out;

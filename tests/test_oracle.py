@@ -117,6 +117,20 @@ def test_oracle_matrix_identity_residual():
     assert check_operator_identity(ff).residual < 1e-6
 
 
+@pytest.mark.parametrize("k", [16.0, 20.0, 30.0])
+def test_oracle_matrix_identity_at_higher_frequency(k):
+    # the default order grows until the mode tail converges (ceil(ka)+24 alone fails here)
+    ff = disk_far_field_matrix(A, k, 128)
+    assert check_operator_identity(ff).residual < 1e-6
+
+
+def test_default_order_kept_where_it_converges():
+    assert np.array_equal(
+        disk_far_field_matrix(A, K, 32).entries,
+        disk_far_field_matrix(A, K, 32, order=int(np.ceil(K * A)) + 24).entries,
+    )
+
+
 def test_oracle_matrix_is_circulant():
     ff = disk_far_field_matrix(A, K, 32)
     e = ff.entries

@@ -7,17 +7,12 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from plate_echo.specfun import (
-    CylinderFunctionValue,
     bessel_i,
-    bessel_i_deriv,
     bessel_j,
     bessel_j_deriv,
     bessel_k,
     bessel_k_deriv,
     bessel_y,
-    bessel_y_deriv,
-    cylinder_value,
-    fundamental_solution,
     hankel1,
     hankel1_deriv,
 )
@@ -64,7 +59,8 @@ class TestBesselJ:
 
     def test_accuracy_at_range_edges(self):
         mpmath.mp.dps = 50
-        for n, t in [(0, 1000.0), (32, 500.0), (64, 1000.0), (64, 64.0)]:
+        for n, t in [(0, 1e-3), (0, 5.0), (0, 1000.0), (1, 1e-3), (1, 5.0), (1, 1000.0),
+                     (32, 500.0), (64, 1000.0), (64, 64.0)]:
             assert abs(bessel_j(n, t) - float(mpmath.besselj(n, t))) < 1e-12
 
     def test_rejects_negative_argument(self):
@@ -78,14 +74,15 @@ class TestBesselY:
 
     def test_against_mpmath(self):
         mpmath.mp.dps = 50
-        for n, t in [(0, 1.0), (0, 0.001), (3, 5.0), (8, 20.0), (32, 50.0),
-                     (64, 1.0), (64, 1000.0), (0, 1000.0)]:
+        for n, t in [(0, 1.0), (0, 0.001), (1, 0.001), (1, 5.0), (1, 1000.0), (3, 5.0),
+                     (8, 20.0), (32, 50.0), (64, 1.0), (64, 1000.0), (0, 1000.0)]:
             assert bessel_y(n, t) == pytest.approx(float(mpmath.bessely(n, t)), rel=1e-10)
 
     def test_wronskian_n3_t5(self):
+        # J H' - J' H = i (J Y' - J' Y) = 2i / (pi t)
         t = 5.0
-        w = bessel_j(3, t) * bessel_y_deriv(3, t) - bessel_j_deriv(3, t) * bessel_y(3, t)
-        assert w == pytest.approx(2.0 / (np.pi * t), rel=1e-13)
+        w = bessel_j(3, t) * hankel1_deriv(3, t) - bessel_j_deriv(3, t) * hankel1(3, t)
+        assert w == pytest.approx(2j / (np.pi * t), rel=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -117,22 +114,59 @@ class TestBesselK:
 
     def test_accuracy_across_contract_range(self):
         mpmath.mp.dps = 50
-        for n, t in [(0, 1e-3), (0, 700.0), (64, 1e-3), (64, 700.0), (32, 350.0)]:
+        for n, t in [(0, 1e-3), (0, 700.0), (1, 1e-3), (1, 700.0), (64, 1e-3), (64, 700.0),
+                     (32, 350.0)]:
             exact = mpmath.besselk(n, t)
             rel = abs((bessel_k(n, t) - float(exact)) / float(exact))
             assert rel < 1e-12, f"K_{n}({t}): rel err {rel:.2e}"
+
+    def test_bridges_to_hankel_of_imaginary_argument(self):
+        # K_0(t) = (i pi / 2) H^(1)_0(i t), against scipy's complex Hankel routine
+        import scipy.special as sp
+
+        for t in (0.5, 2.0, 7.0):
+            assert bessel_k(0, t) == pytest.approx(0.5j * np.pi * sp.hankel1(0, 1j * t), rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_k(1, 0.0)
 
 
+class TestBesselI:
+    def test_against_mpmath(self):
+        mpmath.mp.dps = 50
+        for n, t in [(0, 1e-3), (0, 5.0), (0, 700.0), (1, 1e-3), (1, 5.0), (1, 700.0),
+                     (5, 20.0), (64, 100.0)]:
+            assert bessel_i(n, t) == pytest.approx(float(mpmath.besseli(n, t)), rel=1e-12)
+
+    def test_negative_order_symmetry(self):
+        assert bessel_i(-1, 2.5) == bessel_i(1, 2.5)
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            bessel_i(0, -1.0)
+
+
+class TestHankel1:
+    def test_h1_is_j_plus_iy(self):
+        # exact: the solver reads J_0 and J_1 off the real parts of H_0 and H_1
+        t = np.geomspace(1e-3, 1000.0, 200)
+        for n in (-3, -1, 0, 1, 2, 7):
+            h = hankel1(n, t)
+            assert np.array_equal(h.real, bessel_j(n, t))
+            assert np.array_equal(h.imag, bessel_y(n, t))
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            hankel1(0, 0.0)
+
+
 class TestWronskianAndRecurrences:
     def test_wronskian_sweep(self):
         t = np.geomspace(0.1, 100.0, 40)
         for n in (0, 1, 2, 5, 8, 16, 32):
-            w = bessel_j(n, t) * bessel_y_deriv(n, t) - bessel_j_deriv(n, t) * bessel_y(n, t)
-            assert np.max(np.abs(w * (np.pi * t) / 2.0 - 1.0)) < 1e-12
+            w = bessel_j(n, t) * hankel1_deriv(n, t) - bessel_j_deriv(n, t) * hankel1(n, t)
+            assert np.max(np.abs(w * (np.pi * t) / 2j - 1.0)) < 1e-12
 
     def test_three_term_recurrence(self):
         t = np.geomspace(0.5, 200.0, 30)
@@ -153,8 +187,6 @@ class TestWronskianAndRecurrences:
         h = 1e-6
         fns = [
             (bessel_j, bessel_j_deriv),
-            (bessel_y, bessel_y_deriv),
-            (bessel_i, bessel_i_deriv),
             (bessel_k, bessel_k_deriv),
             (hankel1, hankel1_deriv),
         ]
@@ -164,59 +196,3 @@ class TestWronskianAndRecurrences:
                 fd = (f(n, t + h) - f(n, t - h)) / (2.0 * h)
                 d = df(n, t)
                 assert abs(fd - d) <= 1e-6 * max(abs(d), 0.1)
-
-
-class TestCylinderValue:
-    def test_bundle(self):
-        v = cylinder_value("k", 2, 3.0)
-        assert isinstance(v, CylinderFunctionValue)
-        assert v.order == 2 and v.argument == 3.0
-        assert v.value.real > 0 and v.value.imag == 0.0
-        assert v.derivative.real < 0  # K_n strictly decreasing
-
-    def test_h1_is_j_plus_iy(self):
-        v = cylinder_value("h1", 1, 2.5)
-        assert v.value == pytest.approx(bessel_j(1, 2.5) + 1j * bessel_y(1, 2.5))
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            cylinder_value("q", 0, 1.0)
-
-
-class TestFundamentalSolution:
-    def test_modified_real_positive(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(50, 2))
-        y = rng.normal(size=(50, 2))
-        v = fundamental_solution("modified", 2.0, x, y)
-        assert np.all(v > 0.0)
-        assert np.isrealobj(v)
-
-    def test_helmholtz_unit_separation(self):
-        v = fundamental_solution("helmholtz", 1.0, (1.0, 0.0), (0.0, 0.0))
-        assert v == pytest.approx(0.25j * (bessel_j(0, 1.0) + 1j * bessel_y(0, 1.0)))
-
-    def test_radiation_decay_rate(self):
-        # |Phi_k| ~ r^{-1/2}: quadrupling r halves the amplitude
-        r400 = abs(fundamental_solution("helmholtz", 1.0, (400.0, 0.0), (0.0, 0.0)))
-        r100 = abs(fundamental_solution("helmholtz", 1.0, (100.0, 0.0), (0.0, 0.0)))
-        assert r400 / r100 == pytest.approx(0.5, abs=1e-2)
-
-    def test_modified_kernel_bridges_to_hankel_form(self):
-        # (1/2pi) K_0(kr) equals (i/4) H^(1)_0(ikr)
-        import scipy.special as sp
-
-        for kr in (0.5, 2.0, 7.0):
-            assert fundamental_solution(
-                "modified", 1.0, (kr, 0.0), (0.0, 0.0)
-            ) == pytest.approx(0.25j * sp.hankel1(0, 1j * kr), rel=1e-12)
-
-    def test_singularity(self):
-        with pytest.raises(ValueError):
-            fundamental_solution("helmholtz", 1.0, (1.0, 1.0), (1.0, 1.0))
-
-    def test_bad_kind_and_k(self):
-        with pytest.raises(ValueError):
-            fundamental_solution("laplace", 1.0, (1.0, 0.0), (0.0, 0.0))
-        with pytest.raises(ValueError):
-            fundamental_solution("helmholtz", 0.0, (1.0, 0.0), (0.0, 0.0))
