@@ -182,9 +182,9 @@ def _format_values(fmt):
 
 
 # One row per config key: (section, key, ExperimentConfig attribute, parse,
-# format). parse_config and config_text both walk this table, in this order.
-# A parse that returns None keeps the base value (an empty shape_params
-# means the shape's defaults).
+# format). parse_config_text and config_text both walk this table, in this
+# order. A parse that returns None keeps the base value (an empty
+# shape_params means the shape's defaults).
 CONFIG_FIELDS = (
     ("experiment", "shape", "shape_kind", str.strip, str),
     ("experiment", "shape_params", "shape_params",
@@ -206,7 +206,7 @@ CONFIG_FIELDS = (
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Serialize the effective configuration (re-readable by parse_config)."""
+    """Serialize the effective configuration (re-readable by parse_config_text)."""
     if cfg.shape_params is None:
         cfg = replace(cfg, shape_params=cfg.curve().params)
     sections = [
@@ -217,17 +217,24 @@ def config_text(cfg: ExperimentConfig) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def parse_config(source: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse INI text (or a file path) on top of the defaults."""
+def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Read an INI config file and parse it on top of base (default: the defaults)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    return parse_config_text(text, base, source=str(path))
+
+
+def parse_config_text(text: str, base: ExperimentConfig | None = None,
+                      source: str = "<string>") -> ExperimentConfig:
+    """Parse INI text on top of base (default: the defaults); source names it in errors."""
     cfg = base if base is not None else ExperimentConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        if "\n" in source or "=" in source:
-            parser.read_string(source)
-        else:
-            with open(source, encoding="utf-8") as fh:
-                parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
     updates = {}

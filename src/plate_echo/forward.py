@@ -38,6 +38,7 @@ and from n(t).(x(t)-x(s)) ~ (1/2) n.x'' (t-s)^2 at coincident points.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,34 +322,45 @@ def save_farfield(ff: FarFieldMatrix, path) -> None:
     digits).
     """
     n = ff.n_dirs
-    lines = [f"# biharmonic-farfield v1 N={n} k={ff.k:.17g} shape={ff.shape_kind}"]
-    for i in range(n):
-        for j in range(n):
-            v = ff.entries[i, j]
-            lines.append(f"{i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}")
+    row_template = "".join(f"%d {j + 1} %.17g %.17g\n" for j in range(n))
+    args = np.empty((n, 3))                            # (i, re, im) per line of a row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# biharmonic-farfield v1 N={n} k={ff.k:.17g} shape={ff.shape_kind}\n")
+        for i, row in enumerate(ff.entries):
+            args[:, 0] = i + 1
+            args[:, 1] = row.real
+            args[:, 2] = row.imag
+            fh.write(row_template % tuple(args.ravel().tolist()))
 
 
 def load_farfield(path) -> FarFieldMatrix:
-    """Read a far-field matrix file written by save_farfield."""
+    """Read a far-field matrix file written by save_farfield.
+
+    The body must be exactly N^2 lines of four tokens 'i j re im' with 1-based
+    indices in row-major order (blank lines are skipped); anything else
+    raises ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         fields = header.split()
-        if fields[:2] != ["#", "biharmonic-farfield"] or fields[2] != "v1":
+        if fields[:3] != ["#", "biharmonic-farfield", "v1"]:
             raise ValueError(f"not a biharmonic-farfield v1 file: {header!r}")
-        meta = dict(f.split("=", 1) for f in fields[3:])
-        n = int(meta["N"])
-        k = float(meta["k"])
+        try:
+            meta = dict(f.split("=", 1) for f in fields[3:])
+            n = int(meta["N"])
+            k = float(meta["k"])
+            if n < 1:
+                raise ValueError("N must be positive")
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad far-field header {header!r}") from exc
         kind = meta.get("shape", "")
-        entries = np.zeros((n, n), dtype=complex)
-        count = 0
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, re, im = line.split()
-            entries[int(i) - 1, int(j) - 1] = float(re) + 1j * float(im)
-            count += 1
-    if count != n * n:
-        raise ValueError(f"expected {n * n} entries, found {count}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")                # an empty body is caught below
+            rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+    if rows.shape != (n * n, 4):
+        raise ValueError(f"expected {n * n} entries of 4 values, found {rows.shape[0]}")
+    i, j = np.divmod(np.arange(n * n), n)
+    if not (np.array_equal(rows[:, 0], i + 1) and np.array_equal(rows[:, 1], j + 1)):
+        raise ValueError("far-field entries are not 'i j' in 1-based row-major order")
+    entries = np.ascontiguousarray(rows[:, 2:]).view(complex).reshape(n, n)
     return FarFieldMatrix(k=k, directions=uniform_directions(n), entries=entries, shape_kind=kind)

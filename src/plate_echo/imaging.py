@@ -94,27 +94,34 @@ def w_norm(ff: FarFieldMatrix, z, rho: float) -> float:
     return float(indicator_values(ff, z, rho, "norm")[0])
 
 
+def _check_indicator(rho: float, which: str) -> None:
+    if which not in ("ip", "norm"):
+        raise ValueError("which must be 'ip' or 'norm'")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+
+
+def _indicator(entries: np.ndarray, P: np.ndarray, rho: float, which: str) -> np.ndarray:
+    """The indicator for each test vector in the rows of P, shape (m, N)."""
+    FP = P @ entries.T                                  # (m, N): (F phi_z)_i per row
+    if which == "ip":
+        return np.abs(np.einsum("mi,mi->m", P.conj(), FP)) ** rho
+    return np.linalg.norm(FP, axis=1) ** rho
+
+
 def indicator_values(ff: FarFieldMatrix, points, rho: float, which: str) -> np.ndarray:
     """Vectorized indicator over an (m, 2) array of sampling points.
 
     Points are taken INDICATOR_BLOCK at a time, so the (points, N) test-vector
     temporaries stay bounded however fine the grid is.
     """
-    if which not in ("ip", "norm"):
-        raise ValueError("which must be 'ip' or 'norm'")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_indicator(rho, which)
     points = np.atleast_2d(points)
     vals = np.empty(len(points))
     for start in range(0, len(points), INDICATOR_BLOCK):
         block = slice(start, start + INDICATOR_BLOCK)
-        P = phi_z(ff.k, ff.directions, points[block])   # (m, N)
-        FP = P @ ff.entries.T                           # (m, N): (F phi_z)_i per row
-        if which == "ip":
-            vals[block] = np.abs(np.einsum("mi,mi->m", P.conj(), FP))
-        else:
-            vals[block] = np.linalg.norm(FP, axis=1)
-    return vals**rho
+        vals[block] = _indicator(ff.entries, phi_z(ff.k, ff.directions, points[block]), rho, which)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -151,15 +158,22 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     extent = (x_min, x_max, y_min, y_max); resolution = (nx, ny) with
     endpoints included. Raises if the grid is identically zero.
     """
+    _check_indicator(rho, which)
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 2 or ny < 2:
         raise ValueError("grid resolution must be >= 2 per axis")
     x_min, x_max, y_min, y_max = (float(v) for v in extent)
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
-    X, Y = np.meshgrid(xs, ys)
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    vals = indicator_values(ff, pts, rho, which).reshape(ny, nx)
+    # phi_z(x, y) = phi_z(x, 0) * phi_z(0, y): (nx + ny) N exponentials, not nx ny N
+    E_x = phi_z(ff.k, ff.directions, np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, N)
+    E_y = phi_z(ff.k, ff.directions, np.stack([np.zeros(ny), ys], axis=-1))   # (ny, N)
+    rows = max(1, INDICATOR_BLOCK // nx)
+    vals = np.empty((ny, nx))
+    for start in range(0, ny, rows):
+        block = slice(start, start + rows)
+        P = (E_y[block, None, :] * E_x[None, :, :]).reshape(-1, ff.n_dirs)
+        vals[block] = _indicator(ff.entries, P, rho, which).reshape(-1, nx)
     peak = vals.max()
     if peak <= 0.0:
         raise ValueError("degenerate imaging grid: indicator vanishes everywhere")
@@ -175,12 +189,12 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
 
 def save_grid_csv(grid: ImagingGrid, path) -> None:
     """CSV export: header 'x,y,value', rows in row-major (y outer, x inner)."""
-    lines = ["x,y,value"]
-    for iy, y in enumerate(grid.ys):
-        for ix, x in enumerate(grid.xs):
-            lines.append(f"{x:.17g},{y:.17g},{grid.values[iy, ix]:.17g}")
+    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
+    ys = [f"{y:.17g}," for y in grid.ys.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,value\n")
+        for y, values in zip(ys, grid.values.tolist()):
+            fh.write("".join([f"{x}{y}{v:.17g}\n" for x, v in zip(xs, values)]))
 
 
 def save_grid_pgm(grid: ImagingGrid, path) -> None:

@@ -14,6 +14,7 @@ from plate_echo.cli import (
     config_text,
     main,
     parse_config,
+    parse_config_text,
 )
 from plate_echo.forward import load_farfield
 
@@ -37,7 +38,7 @@ def test_presets():
 
 
 def test_config_round_trip():
-    cfg = parse_config(
+    cfg = parse_config_text(
         """
         [experiment]
         shape = peanut
@@ -60,7 +61,7 @@ def test_config_round_trip():
     )
     assert cfg.mask_rows == tuple(range(1, 17))
     assert cfg.mask_cols == (*range(48, 65), 3)
-    again = parse_config(config_text(cfg))
+    again = parse_config_text(config_text(cfg))
     assert again == cfg
 
 
@@ -94,27 +95,44 @@ def test_default_config_text():
 
 
 def test_percent_in_config_value():
-    cfg = parse_config("[output]\ndir = a%b\n")
+    cfg = parse_config_text("[output]\ndir = a%b\n")
     assert cfg.out_dir == "a%b"
-    assert parse_config(config_text(cfg)) == cfg
+    assert parse_config_text(config_text(cfg)) == cfg
+
+
+def test_config_path_with_equals_sign(tmp_path):
+    # a --config argument is always a file to read, never INI text
+    path = tmp_path / "cfg=1" / "c.ini"
+    path.parent.mkdir()
+    path.write_text("[experiment]\nshape = circle\n")
+    assert parse_config(path) == parse_config_text(path.read_text())
+    assert main(["oracle", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    assert load_farfield(tmp_path / "farfield_circle_oracle.txt").n_dirs == 64
+
+
+def test_config_syntax_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("k = 4\n")
+    assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
 
 
 def test_config_validation_errors():
     with pytest.raises(Exception):
-        parse_config("[experiment]\nk = 0\n")
+        parse_config_text("[experiment]\nk = 0\n")
     with pytest.raises(Exception):
-        parse_config("[experiment]\nquad_nodes = 17\n")
+        parse_config_text("[experiment]\nquad_nodes = 17\n")
     with pytest.raises(Exception):
-        parse_config("[imaging]\nwhich = both\n")
+        parse_config_text("[imaging]\nwhich = both\n")
     with pytest.raises(Exception):
-        parse_config("[mask]\nrows = 99\n")
+        parse_config_text("[mask]\nrows = 99\n")
 
 
 def test_forward_circle_is_circulant(tmp_path, capsys):
-    cfg = parse_config(
+    cfg = parse_config_text(
         "[experiment]\nshape = circle\nshape_params = 1.0\n"
     )
-    cfg = parse_config(f"[output]\ndir = {tmp_path}\n", base=cfg)
+    cfg = parse_config_text(f"[output]\ndir = {tmp_path}\n", base=cfg)
     path = cmd_forward(cfg)
     out = capsys.readouterr().out
     assert "check=operator_identity" in out and "pass=1" in out
@@ -171,8 +189,26 @@ def test_image_missing_matrix(tmp_path):
     assert main(["image", f"{tmp_path}/nope.txt", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_image_refuses_misindexed_matrix(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["forward", "--preset", "paper-star", "--out", out]) == EXIT_OK
+    path = tmp_path / "farfield_star.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = "65 " + lines[2].split(" ", 1)[1]          # index above N
+    path.write_text("".join(lines))
+    assert main(["image", str(path), "--out", out]) == EXIT_CONFIG
+    assert "row-major" in capsys.readouterr().err
+    assert not (tmp_path / "grid_ip.csv").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["verify", "--config", f"{tmp_path}/absent.ini"]) == EXIT_CONFIG
+
+
+def test_non_utf8_config_is_config_error(tmp_path):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(b"[experiment]\nk = 4\xff\n")
+    assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 def test_oracle_command(tmp_path):

@@ -1,5 +1,7 @@
 """Integral-equation solver: block-level and end-to-end validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from plate_echo.forward import (
+    FarFieldMatrix,
     ScatteringSolver,
     assemble_far_field_matrix,
     assemble_system,
@@ -211,9 +214,12 @@ def test_farfield_file_round_trip(tmp_path, ff_star):
 
 def test_farfield_file_rejects_garbage(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("# something else\n")
-    with pytest.raises(ValueError):
-        load_farfield(p)
+    for header in ("# something else", "# biharmonic-farfield", "",
+                   "# biharmonic-farfield v1 k=4", "# biharmonic-farfield v1 N=x k=4",
+                   "# biharmonic-farfield v1 N4 k=4", "# biharmonic-farfield v1 N=0 k=4"):
+        p.write_text(header + "\n1 1 0 0\n")
+        with pytest.raises(ValueError):
+            load_farfield(p)
 
 
 def test_farfield_file_rejects_truncation(tmp_path, ff_star):
@@ -223,6 +229,96 @@ def test_farfield_file_rejects_truncation(tmp_path, ff_star):
     p.write_text("\n".join(lines[:-10]) + "\n")
     with pytest.raises(ValueError):
         load_farfield(p)
+
+
+# entries with awkward text forms: signed zero, the smallest subnormal, a huge
+# value, an exact integer, an inexact decimal and negatives
+FORMAT_VALUES = (-0.0, 5e-324, 1e300, 1.0, 0.1, -2.5e-7, -1e-300, -7.0)
+
+
+def _small_matrix(n=4):
+    vals = np.resize(np.array(FORMAT_VALUES), n * n)
+    entries = np.empty((n, n), dtype=complex)
+    entries.real = vals.reshape(n, n)
+    entries.imag = np.roll(vals, 4).reshape(n, n)     # -0.0 meets 0.1 both ways round
+    return FarFieldMatrix(k=4.0, directions=uniform_directions(n), entries=entries,
+                          shape_kind="star")
+
+
+def test_farfield_file_lines_follow_the_format(tmp_path):
+    ff = _small_matrix()
+    path = tmp_path / "ff.txt"
+    save_farfield(ff, path)
+    expected = ["# biharmonic-farfield v1 N=4 k=4 shape=star"]
+    for i in range(4):
+        for j in range(4):
+            re, im = float(ff.entries[i, j].real), float(ff.entries[i, j].imag)
+            expected.append(f"{i + 1} {j + 1} {re:.17g} {im:.17g}")
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+    back = load_farfield(path)
+    # bit-exact, the sign of zero included
+    assert np.array_equal(back.entries.view(np.uint64), ff.entries.view(np.uint64))
+
+
+def _edited(tmp_path, edit):
+    path = tmp_path / "ff.txt"
+    save_farfield(_small_matrix(), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _set_index(line_no, i, j):
+    def edit(lines):
+        lines[line_no] = f"{i} {j} " + lines[line_no].split(" ", 2)[2]
+    return edit
+
+
+def _swap(lines):
+    lines[3], lines[4] = lines[4], lines[3]
+
+
+def _duplicate(lines):
+    lines[5] = lines[4]
+
+
+def _non_numeric(lines):
+    lines[7] = lines[7].rsplit(" ", 1)[0] + " abc"
+
+
+def _header_only(lines):
+    del lines[1:]
+
+
+def _five_tokens(lines):
+    lines[2] += " 0"
+
+
+def _five_then_three(lines):
+    lines[2] += " " + lines[3].split(" ", 1)[0]
+    lines[3] = lines[3].split(" ", 1)[1]
+
+
+@pytest.mark.parametrize("edit", [
+    _set_index(16, 0, 0),        # index 0: used to land in entries[-1, -1]
+    _set_index(16, -1, 4),       # a negative index wrapped the same way
+    _set_index(3, 1, 5),         # above N: used to raise IndexError
+    _set_index(16, 5, 4),
+    _duplicate,                  # passed the count check, left a zero entry
+    _swap,
+    _non_numeric,
+    _five_tokens,
+    _five_then_three,
+    _header_only,
+], ids=["index-0", "negative", "column-above-n", "row-above-n", "duplicate", "swapped",
+        "non-numeric", "five-tokens", "five-then-three", "header-only"])
+def test_farfield_file_rejects_misformatted_body(tmp_path, edit):
+    path = _edited(tmp_path, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # a refusal is the error alone, no warning
+        with pytest.raises(ValueError):
+            load_farfield(path)
 
 
 def test_other_shapes_satisfy_identity():

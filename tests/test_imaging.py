@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from plate_echo import imaging
 from plate_echo.forward import FarFieldMatrix, assemble_far_field_matrix, uniform_directions
 from plate_echo.geometry import make_curve
 from plate_echo.imaging import (
     INDICATOR_BLOCK,
     ApertureMask,
+    ImagingGrid,
     NoiseModel,
     add_noise,
     apply_mask,
@@ -222,6 +224,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             evaluate_grid(ff_star, EXTENT, (1, 10), 4.0, "ip")
 
+    @pytest.mark.parametrize("block", [16, INDICATOR_BLOCK])
+    @pytest.mark.parametrize("resolution", [(7, 5), (301, 3), (40, 37)])
+    @pytest.mark.parametrize("which, rho", [("ip", 4.0), ("norm", 8.0)])
+    def test_grid_matches_pointwise_indicator(self, ff_star, monkeypatch, block,
+                                              resolution, which, rho):
+        # the separable grid phases against phi_z at every grid point; a small
+        # block gives many blocks and a partial last one on both paths
+        monkeypatch.setattr(imaging, "INDICATOR_BLOCK", block)
+        grid = evaluate_grid(ff_star, (-3.0, 2.5, -1.5, 4.0), resolution, rho, which)
+        assert grid.values.shape == resolution[::-1]
+        direct = indicator_values(ff_star, grid.points(), rho, which)
+        direct = (direct / direct.max()).reshape(grid.values.shape)
+        assert np.abs(grid.values - direct).max() < 1e-13
+
     def test_translation_covariance(self, ff_star):
         v = np.array([0.5, -0.3])
         shifted = assemble_far_field_matrix(make_curve("star").translate(v), K, 64, 128)
@@ -245,6 +261,21 @@ class TestGridFiles:
         # row-major: x runs fastest
         x1 = float(rows[2].split(",")[0])
         assert x1 == grid.xs[1]
+
+    def test_csv_lines_follow_the_format(self, tmp_path):
+        # awkward text forms: signed zero, the smallest subnormal, a huge value,
+        # an exact integer, an inexact decimal and negatives
+        xs = np.array([-0.0, 0.1, 1e300, -7.0])
+        ys = np.array([5e-324, -1.0, 1.0])
+        values = np.array([[-0.0, 5e-324, 1e300, 1.0],
+                           [0.1, -2.5e-7, -1e-300, 0.0],
+                           [1.0, 0.5, 1 / 3, -0.1]])
+        grid = ImagingGrid(extent=(-7.0, 1e300, -1.0, 1.0), xs=xs, ys=ys, values=values)
+        path = tmp_path / "grid.csv"
+        save_grid_csv(grid, path)
+        expected = ["x,y,value"] + [f"{x:.17g},{y:.17g},{values[iy, ix]:.17g}"
+                                    for iy, y in enumerate(ys) for ix, x in enumerate(xs)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
     def test_pgm_format(self, tmp_path, ff_star):
         grid = evaluate_grid(ff_star, EXTENT, (30, 20), 4.0, "ip")
