@@ -5,7 +5,7 @@ closed-form disk oracle, direct-sampling imaging functions, and numerical
 checks of the far-field operator identities.
 """
 
-from .geometry import ParametricCurve, make_curve, curve_frame, SHAPE_KINDS
+from .geometry import ParametricCurve, make_curve, SHAPE_KINDS
 from .forward import (
     BoundaryDiscretization,
     FarFieldMatrix,
@@ -40,7 +40,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParametricCurve", "make_curve", "curve_frame", "SHAPE_KINDS",
+    "ParametricCurve", "make_curve", "SHAPE_KINDS",
     "BoundaryDiscretization", "FarFieldMatrix", "ScatteringSolver",
     "discretize", "assemble_system",
     "assemble_far_field_matrix", "save_farfield", "load_farfield",

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import ParametricCurve
-from .specfun import EULER_GAMMA, bessel_i, bessel_k, hankel1
+from .specfun import EULER_GAMMA, bessel_i, bessel_j, bessel_k, bessel_y
 
 SOLVE_RESIDUAL_TOL = 1e-10
 
@@ -129,101 +129,149 @@ def kress_log_weights(half: int) -> np.ndarray:
     return -(2.0 * np.pi / n) * c - (np.pi / n**2) * np.cos(np.pi * j)
 
 
-def fourier_differentiation_matrix(n_nodes: int) -> np.ndarray:
-    """Spectral differentiation on 2n equispaced nodes (even count)."""
-    i = np.arange(n_nodes)
-    diff = i[:, None] - i[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / n_nodes)
-    np.fill_diagonal(D, 0.0)
-    return D
+# Rows per kernel-evaluation block: ceil(n_nodes / KERNEL_ROW_BLOCKS).
+KERNEL_ROW_BLOCKS = 16
 
 
-def _pairwise(disc: BoundaryDiscretization):
-    """Distances, normal projections and the log-split factor for all node pairs."""
-    x = disc.x
-    dx = x[:, None, :] - x[None, :, :]
-    r = np.hypot(dx[..., 0], dx[..., 1])
-    # bounding-box diagonal of the nodes: the curve's size without a pairwise scan
-    scale = max(float(np.hypot(*np.ptp(x, axis=0))), 1e-30)
-    offdiag = ~np.eye(disc.n_nodes, dtype=bool)
-    if r[offdiag].min() < 1e-12 * scale:
-        raise RuntimeError("degenerate boundary: coincident quadrature nodes")
-    np.fill_diagonal(r, 1.0)  # placeholder; diagonals are set explicitly
-    dt = disc.t[:, None] - disc.t[None, :]
-    lsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=offdiag, out=np.zeros_like(r))
-    # n_j . (x_i - x_j) and n_i . (x_i - x_j)
-    nr = disc.normal_raw
-    q_at_src = dx[..., 0] * nr[None, :, 0] + dx[..., 1] * nr[None, :, 1]
-    q_at_obs = dx[..., 0] * nr[:, None, 0] + dx[..., 1] * nr[:, None, 1]
-    return r, lsin, q_at_src, q_at_obs
+def _symmetric_kernel(f, n, x):
+    """f(n, x) for a symmetric matrix x and an elementwise f, evaluated once per symmetric pair.
+
+    Each block of rows a:b evaluates f on the contiguous slice x[a:b, a:] and
+    mirrors the part right of its diagonal block into the columns below it,
+    so the result equals f(n, x) bit for bit at about half the evaluations.
+    """
+    m = x.shape[0]
+    out = np.empty_like(x)
+    step = -(-m // KERNEL_ROW_BLOCKS)
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        out[a:b, a:] = f(n, x[a:b, a:])
+        out[b:, a:b] = out[a:b, b:].T
+    return out
+
+
+def _maue_product(X):
+    """D X D for the Fourier differentiation matrix D on the equispaced nodes.
+
+    D is circulant with symbol i kappa (Nyquist mode dropped) and
+    antisymmetric, so differentiating the columns (i kappa_p) and then the rows
+    from the right (-i kappa_q) multiplies the 2D spectrum by kappa_p kappa_q.
+    """
+    m = X.shape[0]
+    kappa = np.fft.fftfreq(m, 1.0 / m)
+    kappa[m // 2] = 0.0
+    return np.fft.ifft2(np.fft.fft2(X) * np.outer(kappa, kappa))
 
 
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
 def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
-    """Dense Nystrom matrix of the 2x2 block operator (4n x 4n)."""
+    """Dense Nystrom matrix of the 2x2 block operator (4n x 4n).
+
+    The kernels J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| are
+    evaluated once per symmetric node pair. S~ and K~' - I are real, and the
+    Helmholtz blocks are split into real and imaginary parts, so every block
+    is built in real arithmetic straight into the result.
+    """
     if k <= 0:
         raise ValueError("assemble_system requires k > 0")
     m2 = disc.n_nodes
     half = disc.half
     speed = disc.speed
-    r, lsin, q_src, q_obs = _pairwise(disc)
+    w = np.pi / half
+    diag = np.arange(m2)
+
+    # --- pairwise geometry ---------------------------------------------------
+    x1, x2 = disc.x[:, 0], disc.x[:, 1]
+    dx1 = x1[:, None] - x1[None, :]
+    dx2 = x2[:, None] - x2[None, :]
+    r = np.hypot(dx1, dx2)
+    # bounding-box diagonal of the nodes: the curve's size without a pairwise scan
+    scale = max(float(np.hypot(*np.ptp(disc.x, axis=0))), 1e-30)
+    r[diag, diag] = np.inf
+    if r.min() < 1e-12 * scale:
+        raise RuntimeError("degenerate boundary: coincident quadrature nodes")
+    r[diag, diag] = 1.0  # placeholder; diagonals are set explicitly
+    dt = disc.t[:, None] - disc.t[None, :]
+    with np.errstate(divide="ignore"):
+        lsin = np.log(4.0 * np.sin(dt / 2.0) ** 2)
+    lsin[diag, diag] = 0.0
+    nr = disc.normal_raw
+    # n_j . (x_i - x_j) / r and n_i . (x_i - x_j)
+    q_src = (dx1 * nr[None, :, 0] + dx2 * nr[None, :, 1]) / r
+    q_obs = dx1 * nr[:, None, 0] + dx2 * nr[:, None, 1]
     kr = k * r
     Rlog = _as_circulant(kress_log_weights(half))
-    eye = np.eye(m2)
 
-    def split(X1, X, diag1, diag2):
-        """R o X1 + (pi/n) X2 for the split X = X1 lsin + X2, with both diagonals set."""
-        X2 = X - X1 * lsin
-        np.fill_diagonal(X1, diag1)
-        np.fill_diagonal(X2, diag2)
-        return Rlog * X1 + (np.pi / half) * X2
+    def kernel(f, n, *factors):
+        """f(n, kr) once per symmetric pair, multiplied in place by each factor in turn."""
+        out = _symmetric_kernel(f, n, kr)
+        for c in factors:
+            out *= c
+        return out
 
-    # H^(1)_n = J_n + i Y_n, so the real parts are the J_n of the log splits
-    h0 = hankel1(0, kr)
-    h1 = hankel1(1, kr)
+    def split(out, X1, X, diag1, diag2):
+        """out = R o X1 + (pi/n) X2 for the split X = X1 lsin + X2, with both diagonals set.
 
-    # --- block (1,1): Helmholtz double layer K + I ---------------------------
-    L1 = -(k / (2.0 * np.pi)) * h1.real * q_src / r
-    L = (0.5j * k) * h1 * q_src / r
-    block_K = split(L1, L, 0.0, disc.curvature_term / (2.0 * np.pi)) + eye
-
-    # --- block (1,2): modified-Helmholtz single layer ------------------------
-    M1 = -(1.0 / (2.0 * np.pi)) * bessel_i(0, kr) * speed[None, :]
-    M = (1.0 / np.pi) * bessel_k(0, kr) * speed[None, :]
-    block_S = split(
-        M1, M,
-        -(1.0 / (2.0 * np.pi)) * speed,
-        -(1.0 / np.pi) * (np.log(0.5 * k * speed) + EULER_GAMMA) * speed,
-    )
-
-    # --- block (2,2): modified-Helmholtz adjoint double layer - I ------------
-    geo = q_obs * speed[None, :] / (speed[:, None] * r)
-    P1 = -(k / (2.0 * np.pi)) * bessel_i(1, kr) * geo
-    P = -(k / np.pi) * bessel_k(1, kr) * geo
-    block_Kp = split(P1, P, 0.0, disc.curvature_term / (2.0 * np.pi)) - eye
-
-    # --- block (2,1): hypersingular block through the Maue split -------------
-    G1 = -(1.0 / (4.0 * np.pi)) * h0.real
-    G = 0.25j * h0
-    diag_G2 = 0.25j - (1.0 / (2.0 * np.pi)) * (np.log(0.5 * k * speed) + EULER_GAMMA)
-    nu = disc.normal
-    nunu = nu @ nu.T
-    N1 = G1 * nunu * speed[None, :]
-    N = G * nunu * speed[None, :]
-    A_phi = split(G1, G, -(1.0 / (4.0 * np.pi)), diag_G2)
-    A_nu = split(N1, N, -(1.0 / (4.0 * np.pi)) * speed, diag_G2 * speed)
-
-    D = fourier_differentiation_matrix(m2)
-    block_T = 2.0 * (D @ A_phi @ D) / speed[:, None] + 2.0 * k**2 * A_nu
+        Overwrites X1 and X.
+        """
+        X -= X1 * lsin
+        X1[diag, diag] = diag1
+        X[diag, diag] = diag2
+        np.multiply(Rlog, X1, out=out)
+        X *= w
+        out += X
 
     A = np.empty((2 * m2, 2 * m2), dtype=complex)
-    A[:m2, :m2] = block_K
-    A[:m2, m2:] = block_S
-    A[m2:, :m2] = block_T
-    A[m2:, m2:] = block_Kp
+    Are, Aim = A.real, A.imag
+    curvature = disc.curvature_term / (2.0 * np.pi)
+    log_speed = np.log(0.5 * k * speed) + EULER_GAMMA
+
+    # --- block (1,1): Helmholtz double layer K + I ---------------------------
+    # L = (k/2)(-Y_1 + i J_1) q/r, with the log split of its real part from J_1
+    Jq = kernel(bessel_j, 1, q_src)
+    L = kernel(bessel_y, 1, -0.5 * k, q_src)
+    split(Are[:m2, :m2], -(k / (2.0 * np.pi)) * Jq, L, 0.0, curvature)
+    Are[diag, diag] += 1.0
+    np.multiply(Jq, 0.5 * k * w, out=Aim[:m2, :m2])
+    Aim[diag, diag] = 0.0
+
+    # --- block (1,2): modified-Helmholtz single layer (real) -----------------
+    M1 = kernel(bessel_i, 0, -(1.0 / (2.0 * np.pi)), speed)
+    M = kernel(bessel_k, 0, 1.0 / np.pi, speed)
+    split(Are[:m2, m2:], M1, M, -(1.0 / (2.0 * np.pi)) * speed, -(1.0 / np.pi) * log_speed * speed)
+
+    # --- block (2,2): modified-Helmholtz adjoint double layer - I (real) -----
+    geo = q_obs * speed[None, :] / (speed[:, None] * r)
+    P1 = kernel(bessel_i, 1, -(k / (2.0 * np.pi)), geo)
+    P = kernel(bessel_k, 1, -(k / np.pi), geo)
+    block_Kp = Are[m2:, m2:]
+    split(block_Kp, P1, P, 0.0, curvature)
+    block_Kp[diag, diag] -= 1.0
+    Aim[:, m2:] = 0.0
+
+    # --- block (2,1): hypersingular block through the Maue split -------------
+    # A_phi is the split of G = -Y_0/4 + i J_0/4, whose log part comes from J_0
+    J0 = kernel(bessel_j, 0)
+    G = kernel(bessel_y, 0, -0.25)
+    A_phi = np.empty((m2, m2), dtype=complex)
+    split(A_phi.real, -(1.0 / (4.0 * np.pi)) * J0, G, -(1.0 / (4.0 * np.pi)),
+          -(1.0 / (2.0 * np.pi)) * log_speed)
+    phi_im = A_phi.imag
+    np.multiply(J0, 0.25 * w, out=phi_im)
+    phi_im[diag, diag] = 0.25 * w
+    # A_nu = A_phi o (nu_i . nu_j |x'_j|), that factor's diagonal being |x'_i|
+    nu = disc.normal
+    nunu = nu @ nu.T
+    nunu *= speed
+    nunu[diag, diag] = speed
+    nunu *= 2.0 * k**2
+    block_T = A[m2:, :m2]
+    np.multiply(A_phi, nunu, out=block_T)
+    DAD = _maue_product(A_phi)
+    DAD *= (2.0 / speed)[:, None]
+    block_T += DAD
     return A
 
 

@@ -217,15 +217,6 @@ def _validate(curve, samples: int = 4096):
             raise ValueError(f"shape {curve.kind!r}: r(theta) <= 0 for some angle")
 
 
-def curve_frame(curve: ParametricCurve, t):
-    """(position, outward unit normal, jacobian) at parameter(s) t."""
-    p = curve.position(t)
-    v = curve.velocity(t)
-    jac = np.hypot(v[..., 0], v[..., 1])
-    normal = np.stack([v[..., 1], -v[..., 0]], axis=-1) / jac[..., None]
-    return p, normal, jac
-
-
 def _polygon_contains(pos, pts, nodes: int = 1024):
     # Even-odd crossing test against a dense polygonal sampling of the curve.
     t = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)

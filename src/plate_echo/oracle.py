@@ -40,9 +40,9 @@ import numpy as np
 
 from .specfun import (
     bessel_j,
-    bessel_j_deriv,
     bessel_k,
     bessel_k_deriv,
+    bessel_y,
     hankel1,
     hankel1_deriv,
 )
@@ -75,47 +75,59 @@ class DiskScatteringSolution:
 
 
 def _mode_ratios(a: float, k: float, order: int):
-    """Direction-independent per-mode responses (ra_n, rb_n) = (a_n, b_n)/c_n."""
+    """Direction-independent mode responses (ra_n, rb_n) = (a_n, b_n)/c_n and the mode tail.
+
+    Each cylinder family is evaluated once, over orders -1..order+1, and the
+    derivatives come from the recurrences on neighbouring orders.
+    """
     z = k * a
-    n = np.arange(0, order + 1)
-    J = np.array([bessel_j(int(m), z) for m in n])
-    Jp = np.array([bessel_j_deriv(int(m), z) for m in n])
-    H = np.array([hankel1(int(m), z) for m in n])
-    Hp = np.array([hankel1_deriv(int(m), z) for m in n])
-    K = np.array([bessel_k(int(m), z) for m in n])
-    Kp = np.array([bessel_k_deriv(int(m), z) for m in n])
+    m = np.arange(-1, order + 2)
+    Jm, Km = bessel_j(m, z), bessel_k(m, z)
+    Hm = Jm + 1j * bessel_y(m, z)
+    J, H, K = Jm[1:-1], Hm[1:-1], Km[1:-1]
+    Jp = 0.5 * (Jm[:-2] - Jm[2:])
+    Hp = 0.5 * (Hm[:-2] - Hm[2:])
+    Kp = -0.5 * (Km[:-2] + Km[2:])
     det = H * Kp - Hp * K
     if np.any(np.abs(det) == 0.0) or np.any(~np.isfinite(det)):
         raise RuntimeError("singular clamped-disk mode system (determinant underflow)")
     ra = (Jp * K - J * Kp) / det
     rb = (Hp * J - H * Jp) / det
+    # boundary contribution of the top retained mode
+    tail = abs(ra[-1] * H[-1]) + abs(rb[-1] * K[-1])
     # Under n -> -n the J/H factors flip sign like (-1)^n while K does not:
     # the ra numerator and the determinant flip coherently (ra even), but the
     # rb numerator flips twice, so rb picks up (-1)^n.
-    sign = (-1.0) ** n
+    sign = (-1.0) ** np.arange(order + 1)
     full = np.concatenate([ra[:0:-1], ra])
     fullb = np.concatenate([(sign * rb)[:0:-1], rb])
-    return full, fullb, J, H, K
+    return full, fullb, tail
 
 
-def _mode_tail(ra, rb, H, K) -> float:
-    """Boundary contribution of the top retained mode, |ra_N H_N(ka)| + |rb_N K_N(ka)|."""
-    return abs(ra[-1] * H[-1]) + abs(rb[-1] * K[-1])
+def _converged_modes(a: float, k: float, order: int | None):
+    """(order, ra, rb) for the disk, raising unless the mode tail is below MODE_TAIL_TOL.
 
-
-def _default_order(a: float, k: float) -> int:
-    """Truncation order for the disk: ceil(ka) + 24, grown by ORDER_STEP until the tail converges.
-
-    Gives up after MAX_ORDER_STEPS steps and returns the last order, for which
-    solve_disk then raises its tail error.
+    Without an order, it starts at ceil(ka) + 24 and grows by ORDER_STEP until
+    the tail converges, giving up after MAX_ORDER_STEPS steps; the ratios of
+    the last order tried are the ones returned.
     """
-    order = int(np.ceil(k * a)) + 24
-    for _ in range(MAX_ORDER_STEPS):
-        ra, rb, _, H, K = _mode_ratios(a, k, order)
-        if _mode_tail(ra, rb, H, K) <= MODE_TAIL_TOL:
-            break
-        order += ORDER_STEP
-    return order
+    if a <= 0 or k <= 0:
+        raise ValueError("the disk problem requires a > 0 and k > 0")
+    if order is None:
+        order = int(np.ceil(k * a)) + 24
+        for _ in range(MAX_ORDER_STEPS):
+            ra, rb, tail = _mode_ratios(a, k, order)
+            if tail <= MODE_TAIL_TOL:
+                return order, ra, rb
+            order += ORDER_STEP
+    elif order < int(np.ceil(k * a)) + 20:
+        raise ValueError("truncation order too small: need order >= ceil(k*a) + 20")
+    ra, rb, tail = _mode_ratios(a, k, order)
+    if tail > MODE_TAIL_TOL:
+        raise RuntimeError(
+            f"mode tail not converged: top-mode boundary contribution {tail:.3e} > {MODE_TAIL_TOL:g}"
+        )
+    return order, ra, rb
 
 
 def solve_disk(a: float, k: float, order: int, d) -> DiskScatteringSolution:
@@ -125,28 +137,15 @@ def solve_disk(a: float, k: float, order: int, d) -> DiskScatteringSolution:
     raises if the top retained mode still contributes more than 1e-12 on the
     boundary.
     """
-    if a <= 0 or k <= 0:
-        raise ValueError("solve_disk requires a > 0 and k > 0")
-    if order < int(np.ceil(k * a)) + 20:
-        raise ValueError("truncation order too small: need order >= ceil(k*a) + 20")
+    order, ra, rb = _converged_modes(a, k, order)
     d = np.asarray(d, dtype=float)
     theta_d = np.arctan2(d[1], d[0])
-
-    ra, rb, J, H, K = _mode_ratios(a, k, order)
     n = np.arange(-order, order + 1)
     c = (1j) ** n * np.exp(-1j * n * theta_d)
-    a_coef = c * ra
-    b_coef = c * rb
-
-    tail = _mode_tail(ra, rb, H, K)
-    if tail > MODE_TAIL_TOL:
-        raise RuntimeError(
-            f"mode tail not converged: top-mode boundary contribution {tail:.3e} > {MODE_TAIL_TOL:g}"
-        )
     return DiskScatteringSolution(
         radius=float(a), k=float(k), order=int(order),
         direction=(float(d[0]), float(d[1])),
-        a_coef=a_coef, b_coef=b_coef, reflect=ra,
+        a_coef=c * ra, b_coef=c * rb, reflect=ra,
     )
 
 
@@ -190,11 +189,9 @@ def disk_far_field_matrix(a: float, k: float, n_dirs: int, order: int | None = N
     """
     from .forward import FarFieldMatrix, uniform_directions
 
-    if order is None:
-        order = _default_order(a, k)
-    sol = solve_disk(a, k, order, (1.0, 0.0))
-    n = sol.modes()
-    mu = -4j * sol.reflect
+    order, ra, _ = _converged_modes(a, k, order)
+    n = np.arange(-order, order + 1)
+    mu = -4j * ra
     theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     U = np.exp(1j * np.outer(theta, n))
     entries = (U * mu) @ U.conj().T

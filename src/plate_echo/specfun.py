@@ -19,6 +19,10 @@ standard recurrences
 Note the minus sign in the oscillatory-family recurrence; a plus-sign variant
 that circulates in some references is incorrect and is deliberately not used.
 
+An order may also be an integer array, broadcast against t; each family is
+then one call per routine, with orders 0 and 1 still taken from the
+fixed-order routines, so every value equals the one-order call's bit for bit.
+
 Routines are looked up through the module name `sp` at call time, so a
 stand-in for scipy.special assigned to `specfun.sp` sees every evaluation.
 
@@ -34,39 +38,50 @@ from scipy import special as sp
 EULER_GAMMA = float(np.euler_gamma)
 
 
-def _reflect(n: int, value):
+def _reflect(n, value):
     """Apply the (-1)^n factor of J_{-n} and Y_{-n}."""
-    return -value if n < 0 and n % 2 else value
+    n = np.asarray(n)
+    flip = (n < 0) & (n % 2 == 1)
+    if n.ndim:
+        return np.where(flip, -value, value)
+    return -value if flip else value
 
 
-def bessel_j(n: int, t):
+def _by_order(m, t, fixed, generic):
+    """Value at order(s) m >= 0: fixed[m](t) for orders 0 and 1, generic(m, t) above.
+
+    m may be an integer array; it then broadcasts against t.
+    """
+    if np.ndim(m):
+        return np.where(m == 0, fixed[0](t), np.where(m == 1, fixed[1](t), generic(m, t)))
+    return fixed[m](t) if m < 2 else generic(m, t)
+
+
+def bessel_j(n, t):
     """Bessel function of the first kind J_n(t), t >= 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("bessel_j requires t >= 0")
-    m = abs(n)
-    return _reflect(n, (sp.j0, sp.j1)[m](t) if m < 2 else sp.jv(m, t))
+    return _reflect(n, _by_order(np.abs(n), t, (sp.j0, sp.j1), sp.jv))
 
 
-def bessel_y(n: int, t):
+def bessel_y(n, t):
     """Bessel function of the second kind Y_n(t), t > 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("bessel_y requires t > 0")
-    m = abs(n)
-    return _reflect(n, (sp.y0, sp.y1)[m](t) if m < 2 else sp.yv(m, t))
+    return _reflect(n, _by_order(np.abs(n), t, (sp.y0, sp.y1), sp.yv))
 
 
-def bessel_i(n: int, t):
+def bessel_i(n, t):
     """Modified Bessel function of the first kind I_n(t), t >= 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("bessel_i requires t >= 0")
-    m = abs(n)
-    return (sp.i0, sp.i1)[m](t) if m < 2 else sp.iv(m, t)
+    return _by_order(np.abs(n), t, (sp.i0, sp.i1), sp.iv)
 
 
-def bessel_k(n: int, t):
+def bessel_k(n, t):
     """Modified Bessel function of the second kind K_n(t), t > 0.
 
     Strictly positive and strictly decreasing in t; returns 0 once e^{-t}
@@ -77,22 +92,21 @@ def bessel_k(n: int, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("bessel_k requires t > 0")
-    m = abs(n)
-    return ((sp.k0e, sp.k1e)[m](t) if m < 2 else sp.kve(m, t)) * np.exp(-t)
+    return _by_order(np.abs(n), t, (sp.k0e, sp.k1e), sp.kve) * np.exp(-t)
 
 
-def hankel1(n: int, t):
+def hankel1(n, t):
     """Hankel function of the first kind H^(1)_n(t) = J_n(t) + i Y_n(t), t > 0."""
     return bessel_j(n, t) + 1j * bessel_y(n, t)
 
 
-def bessel_j_deriv(n: int, t):
+def bessel_j_deriv(n, t):
     return 0.5 * (bessel_j(n - 1, t) - bessel_j(n + 1, t))
 
 
-def hankel1_deriv(n: int, t):
+def hankel1_deriv(n, t):
     return 0.5 * (hankel1(n - 1, t) - hankel1(n + 1, t))
 
 
-def bessel_k_deriv(n: int, t):
+def bessel_k_deriv(n, t):
     return -0.5 * (bessel_k(n - 1, t) + bessel_k(n + 1, t))

@@ -11,6 +11,8 @@ from scipy import special as sp
 from plate_echo.forward import (
     FarFieldMatrix,
     ScatteringSolver,
+    _maue_product,
+    _symmetric_kernel,
     assemble_far_field_matrix,
     assemble_system,
     discretize,
@@ -21,6 +23,7 @@ from plate_echo.forward import (
     uniform_directions,
 )
 from plate_echo.geometry import make_curve
+from plate_echo.specfun import bessel_i, bessel_j, bessel_k, bessel_y
 
 K = 4.0
 
@@ -37,14 +40,24 @@ def test_kress_weights_integrate_log_kernel():
 
 
 CIRCLE_A = 1.3
+CIRCLE_MODES = [-6, -3, 0, 1, 2, 4, 8]
+
+
+def _circle_blocks(m2):
+    disc = discretize(make_curve("circle", (CIRCLE_A,)), m2)
+    A = assemble_system(disc, K)
+    return disc, A[:m2, :m2], A[:m2, m2:], A[m2:, :m2], A[m2:, m2:]
 
 
 @pytest.fixture(scope="module")
 def circle_blocks():
-    m2 = 128
-    disc = discretize(make_curve("circle", (CIRCLE_A,)), m2)
-    A = assemble_system(disc, K)
-    return disc, A[:m2, :m2], A[:m2, m2:], A[m2:, :m2], A[m2:, m2:]
+    return _circle_blocks(128)
+
+
+@pytest.fixture(scope="module")
+def circle_blocks_130():
+    # 130 rows end the kernel evaluation with a partial row block
+    return _circle_blocks(130)
 
 
 class TestCircleBlockEigenvalues:
@@ -52,9 +65,16 @@ class TestCircleBlockEigenvalues:
 
     a = CIRCLE_A
 
-    @pytest.mark.parametrize("n", [-6, -3, 0, 1, 2, 4, 8])
+    @pytest.mark.parametrize("n", CIRCLE_MODES)
     def test_blocks_match_symbols(self, circle_blocks, n):
-        disc, blk_K, blk_S, blk_T, blk_Kp = circle_blocks
+        self.check(circle_blocks, n)
+
+    @pytest.mark.parametrize("n", CIRCLE_MODES)
+    def test_blocks_match_symbols_at_130_nodes(self, circle_blocks_130, n):
+        self.check(circle_blocks_130, n)
+
+    def check(self, blocks, n):
+        disc, blk_K, blk_S, blk_T, blk_Kp = blocks
         z = K * self.a
         v = np.exp(1j * n * disc.t)
         m = abs(n)
@@ -68,6 +88,45 @@ class TestCircleBlockEigenvalues:
             got = blk @ v
             err = np.abs(got - eig[name] * v).max() / max(abs(eig[name]), 1e-10)
             assert err < 1e-9, f"block {name}, mode {n}: rel err {err:.2e}"
+
+
+@pytest.mark.parametrize("m", [16, 18, 128])
+def test_maue_product_matches_dense_differentiation(m):
+    # D from the cot formula for spectral differentiation on m equispaced nodes
+    i = np.arange(m)
+    diff = i[:, None] - i[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / m)
+    np.fill_diagonal(D, 0.0)
+    rng = np.random.default_rng(m)
+    X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    dense = D @ X @ D
+    assert np.linalg.norm(_maue_product(X) - dense) / np.linalg.norm(dense) < 1e-12
+
+
+@pytest.mark.parametrize("m", [18, 130])
+def test_symmetric_kernel_equals_full_evaluation(m):
+    rng = np.random.default_rng(m)
+    x = rng.uniform(0.05, 40.0, (m, m))
+    x = x + x.T
+    evaluated = []
+
+    for f in (bessel_j, bessel_y, bessel_i, bessel_k):
+        def counting(n, t, f=f):
+            evaluated.append(t.size)
+            return f(n, t)
+
+        for n in (0, 1):
+            assert np.array_equal(_symmetric_kernel(counting, n, x), f(n, x))
+    # each call evaluates the upper block trapezoid: about half the pairs
+    assert sum(evaluated) / 8 < 0.6 * m * m
+
+
+def test_modified_helmholtz_blocks_are_real():
+    m2 = 64
+    A = assemble_system(discretize(make_curve("star"), m2), K)
+    assert not A[:m2, m2:].imag.any()
+    assert not A[m2:, m2:].imag.any()
 
 
 def test_system_entries_finite_bounded_nonsymmetric(ff_star):

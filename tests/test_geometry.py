@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from plate_echo.geometry import SHAPE_KINDS, curve_frame, make_curve
+from plate_echo.forward import discretize
+from plate_echo.geometry import SHAPE_KINDS, make_curve
 
 ALL_SHAPES = [make_curve(kind) for kind in SHAPE_KINDS]
 
 
 def test_unit_circle_frame():
-    c = make_curve("circle", (1.0,))
-    p, nu, jac = curve_frame(c, np.pi / 2)
+    # node 0 of a discretization offset by pi/2 sits at t = pi/2
+    disc = discretize(make_curve("circle", (1.0,)), 16, offset=np.pi / 2)
+    p, nu, jac = disc.x[0], disc.normal[0], disc.speed[0]
     assert np.allclose(p, [0.0, 1.0], atol=1e-15)
     assert np.allclose(nu, [0.0, 1.0], atol=1e-15)
     assert jac == pytest.approx(1.0)
@@ -27,24 +29,19 @@ def test_peanut_benchmark_point():
 
 
 def test_circle_jacobian_constant():
-    c = make_curve("circle", (2.5,))
-    t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    _, _, jac = curve_frame(c, t)
+    jac = discretize(make_curve("circle", (2.5,)), 64).speed
     assert np.allclose(jac, 2.5, atol=1e-14)
 
 
 def test_normals_unit_everywhere():
     rng = np.random.default_rng(11)
-    t = rng.uniform(0, 2 * np.pi, 1000)
     for c in ALL_SHAPES:
-        _, nu, _ = curve_frame(c, t)
+        nu = discretize(c, 1000, offset=rng.uniform(0, 2 * np.pi)).normal
         assert np.max(np.abs(np.hypot(nu[:, 0], nu[:, 1]) - 1.0)) < 1e-14
 
 
 def test_circle_arclength():
-    c = make_curve("circle", (2.0,))
-    t = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    _, _, jac = curve_frame(c, t)
+    jac = discretize(make_curve("circle", (2.0,)), 256).speed
     assert (2 * np.pi / 256) * jac.sum() == pytest.approx(4 * np.pi, abs=1e-12)
 
 
@@ -75,8 +72,7 @@ def test_arclength_spectral_convergence(kind):
     c = make_curve(kind)
     lengths = {}
     for m in (64, 128, 256, 512):
-        t = np.linspace(0, 2 * np.pi, m, endpoint=False)
-        _, _, jac = curve_frame(c, t)
+        jac = discretize(c, m).speed
         lengths[m] = (2 * np.pi / m) * jac.sum()
     assert abs(lengths[256] - lengths[512]) / lengths[512] < 1e-12
     assert abs(lengths[64] - lengths[128]) / lengths[128] < 1e-5
@@ -94,9 +90,8 @@ def test_counterclockwise_orientation(kind):
 
 @pytest.mark.parametrize("kind", ["circle", "ellipse", "peanut", "star"])
 def test_outward_normal_flux(kind):
-    c = make_curve(kind)
-    t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-    p, nu, jac = curve_frame(c, t)
+    disc = discretize(make_curve(kind), 512)
+    p, nu, jac = disc.x, disc.normal, disc.speed
     flux = (2 * np.pi / 512) * np.sum((nu * p).sum(axis=1) * jac)
     assert flux > 0
 

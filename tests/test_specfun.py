@@ -149,7 +149,7 @@ class TestBesselI:
 
 class TestHankel1:
     def test_h1_is_j_plus_iy(self):
-        # exact: the solver reads J_0 and J_1 off the real parts of H_0 and H_1
+        # exact: H is built from the two real parts
         t = np.geomspace(1e-3, 1000.0, 200)
         for n in (-3, -1, 0, 1, 2, 7):
             h = hankel1(n, t)
@@ -159,6 +159,23 @@ class TestHankel1:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             hankel1(0, 0.0)
+
+
+class TestArrayOrders:
+    def test_match_one_order_calls(self):
+        # an integer array of orders gives each single-order value bit for bit,
+        # including orders 0 and 1 from the fixed-order routines
+        n = np.arange(-6, 9)
+        for t in (0.3, 4.0, 37.5):
+            for f in (bessel_j, bessel_y, bessel_i, bessel_k, hankel1,
+                      bessel_j_deriv, bessel_k_deriv, hankel1_deriv):
+                assert np.array_equal(f(n, t), [f(int(m), t) for m in n]), f.__name__
+
+    def test_broadcast_against_arguments(self):
+        n = np.array([[0], [1], [3]])
+        t = np.geomspace(0.1, 50.0, 7)
+        for f in (bessel_j, bessel_y, bessel_i, bessel_k):
+            assert np.array_equal(f(n, t), np.stack([f(m, t) for m in (0, 1, 3)]))
 
 
 class TestWronskianAndRecurrences:
