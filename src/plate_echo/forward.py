@@ -293,25 +293,44 @@ def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
     return -2.0 * np.concatenate([phase, dn])
 
 
-def _backward_error(system, sol, rhs) -> float:
-    """Normwise backward error of a linear solve (tiny for a stable solve)."""
+def _backward_error(system, system_norm, sol, rhs) -> float:
+    """Normwise backward error of a linear solve, given the Frobenius norm of system."""
     num = np.linalg.norm(system @ sol - rhs)
-    den = np.linalg.norm(system) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    den = system_norm * np.linalg.norm(sol) + np.linalg.norm(rhs)
     return float(num / den)
 
 
 class ScatteringSolver:
-    """One boundary discretization, assembled and LU-factored once.
+    """One boundary discretization, assembled and factored once.
 
-    Every call to `solve` or `far_field_matrix` reuses the factorization, so
-    any number of direction sets cost one assembly.
+    The system [[A11, A12], [A21, A22]] is factored through its real (2,2)
+    block A22 = K~' - I, a second-kind operator: with W = A12 A22^-1 (real) and
+    the Schur complement S = A11 - W A21, a solve is
+
+        phi1 = S^-1 (b1 - W b2),    phi2 = A22^-1 (b2 - A21 phi1),
+
+    which costs one real and one complex n x n LU instead of the complex LU of
+    the whole 2n x 2n system. Every call to `solve` or `far_field_matrix`
+    reuses the factorization, so any number of direction sets cost one
+    assembly, and each solve is checked against the full system.
     """
 
     def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
         self.k = float(k)
         self.disc = discretize(curve, n_nodes, offset=node_offset)
         self.system = assemble_system(self.disc, self.k)
-        self.lu = lu_factor(self.system)
+        self.system_norm = np.linalg.norm(self.system)
+        A = self.system
+        m2 = n_nodes
+        self.lu22 = lu_factor(A[m2:, m2:].real)
+        # W = A12 A22^-1 from A22^T W^T = A12^T
+        self.W = lu_solve(self.lu22, A[:m2, m2:].real.T, trans=1).T
+        # S = A11 - W A21: W times the interleaved (re, im) columns of A21 is one real GEMM.
+        # S is Fortran-ordered so LAPACK factors it in place; non-finite entries (a
+        # singular A22) flow on to the finiteness check in solve.
+        S = np.array(A[:m2, :m2], order="F")
+        S -= (self.W @ A[m2:, :m2].view(float)).view(complex)
+        self.lu_schur = lu_factor(S, overwrite_a=True, check_finite=False)
 
     def solve(self, directions):
         """Densities (phi1, phi2) for one incident direction or an (M, 2) array of them.
@@ -319,15 +338,22 @@ class ScatteringSolver:
         Returns two (n_nodes, M) arrays, column j belonging to directions[j].
         """
         rhs = incident_trace(self.disc, self.k, np.atleast_2d(directions))
-        sols = lu_solve(self.lu, rhs)
-        resid = _backward_error(self.system, sols, rhs)
+        m2 = self.disc.n_nodes
+        b1, b2 = rhs[:m2], rhs[m2:]
+        sols = np.empty_like(rhs)
+        phi1, phi2 = sols[:m2], sols[m2:]
+        # complex right-hand sides meet the real W and A22 as interleaved (re, im) real columns
+        Wb2 = (self.W @ b2.view(float)).view(complex)
+        phi1[...] = lu_solve(self.lu_schur, b1 - Wb2, overwrite_b=True, check_finite=False)
+        r2 = b2 - self.system[m2:, :m2] @ phi1
+        phi2.view(float)[...] = lu_solve(self.lu22, r2.view(float), overwrite_b=True, check_finite=False)
+        resid = _backward_error(self.system, self.system_norm, sols, rhs)
         if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
             raise RuntimeError(
                 f"linear solve failed (relative residual {resid:.3e}); "
                 "the discretized system may be singular"
             )
-        m2 = self.disc.n_nodes
-        return sols[:m2], sols[m2:]
+        return phi1, phi2
 
     def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
         """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations.

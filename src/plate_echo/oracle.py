@@ -169,13 +169,20 @@ def scattered_field(sol: DiskScatteringSolution, points, radial_derivative: bool
     return out
 
 
+def _far_field(ra, theta_x, theta_d):
+    """-4i sum_n ra_n e^{in (theta_x - theta_d)} for every pair (theta_x[i], theta_d[j])."""
+    order = (len(ra) - 1) // 2
+    n = np.arange(-order, order + 1)
+    Ux = np.exp(1j * np.outer(theta_x, n))
+    Ud = np.exp(1j * np.outer(theta_d, n))
+    return (Ux * (-4j * ra)) @ Ud.conj().T
+
+
 def disk_far_field(sol: DiskScatteringSolution, xhat):
     """Far-field pattern u_inf(xhat, d) of the disk solution."""
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
     th = np.arctan2(xhat[:, 1], xhat[:, 0])
-    n = sol.modes()
-    phases = np.exp(1j * np.outer(th, n)) * (-1j) ** n
-    vals = -4j * phases @ sol.a_coef
+    vals = _far_field(sol.reflect, th, [np.arctan2(sol.direction[1], sol.direction[0])])[:, 0]
     return vals if vals.size > 1 else complex(vals[0])
 
 
@@ -189,15 +196,11 @@ def disk_far_field_matrix(a: float, k: float, n_dirs: int, order: int | None = N
     """
     from .forward import FarFieldMatrix, uniform_directions
 
-    order, ra, _ = _converged_modes(a, k, order)
-    n = np.arange(-order, order + 1)
-    mu = -4j * ra
+    _, ra, _ = _converged_modes(a, k, order)
     theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-    U = np.exp(1j * np.outer(theta, n))
-    entries = (U * mu) @ U.conj().T
     return FarFieldMatrix(
         k=float(k),
         directions=uniform_directions(n_dirs),
-        entries=entries,
+        entries=_far_field(ra, theta, theta),
         shape_kind="circle",
     )

@@ -13,8 +13,11 @@ jv/yv/iv/kve used for other orders, and H^(1)_n = J_n + i Y_n is built from
 the two real parts, so its real part is exactly J_n. Derivatives use the
 standard recurrences
 
-    f_n'(t) = (f_{n-1}(t) - f_{n+1}(t)) / 2        for f in {J, H^(1)},
-    K_n'(t) = -(K_{n-1}(t) + K_{n+1}(t)) / 2.
+    H_n'(t) = (H_{n-1}(t) - H_{n+1}(t)) / 2,
+    K_n'(t) = -(K_{n-1}(t) + K_{n+1}(t)) / 2,
+
+and J_n' is the real part of H_n', which is the same recurrence on J bit
+for bit.
 
 Note the minus sign in the oscillatory-family recurrence; a plus-sign variant
 that circulates in some references is incorrect and is deliberately not used.
@@ -98,10 +101,6 @@ def bessel_k(n, t):
 def hankel1(n, t):
     """Hankel function of the first kind H^(1)_n(t) = J_n(t) + i Y_n(t), t > 0."""
     return bessel_j(n, t) + 1j * bessel_y(n, t)
-
-
-def bessel_j_deriv(n, t):
-    return 0.5 * (bessel_j(n - 1, t) - bessel_j(n + 1, t))
 
 
 def hankel1_deriv(n, t):

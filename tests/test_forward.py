@@ -389,3 +389,64 @@ def test_other_shapes_satisfy_identity():
         ff = assemble_far_field_matrix(make_curve(kind), K, 64, 128)
         assert np.all(np.isfinite(ff.entries))
         assert check_operator_identity(ff).residual < 1e-8
+
+
+@pytest.mark.parametrize("m2", [128, 256])
+@pytest.mark.parametrize("kind", ["star", "peanut", "kite", "circle"])
+def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
+    # the Schur-complement solve against a dense solve of the assembled system
+    solver = ScatteringSolver(make_curve(kind), K, m2)
+    assert solver.system_norm == np.linalg.norm(solver.system)
+    dirs = uniform_directions(64)
+    phi1, phi2 = solver.solve(dirs)
+    ref = np.linalg.solve(solver.system, incident_trace(solver.disc, K, dirs))
+    dens = np.concatenate([phi1, phi2])
+    assert np.abs(dens - ref).max() / np.abs(ref).max() < 1e-9
+    F = solver.far_field_matrix(64).entries
+    monkeypatch.setattr(solver, "solve", lambda d: (ref[:m2], ref[m2:]))
+    F_ref = solver.far_field_matrix(64).entries
+    assert np.abs(F - F_ref).max() / np.abs(F_ref).max() < 1e-12
+
+
+def test_solver_factors_twice_and_solves_through_lu_solve(monkeypatch):
+    import plate_echo.forward as forward
+
+    calls = {"lu_factor": 0, "lu_solve": 0}
+
+    def counting(name):
+        f = getattr(forward, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(forward, name, counting(name))
+    solver = ScatteringSolver(make_curve("star"), K, 64)
+    assert calls == {"lu_factor": 2, "lu_solve": 1}         # A22 and S; W
+    solver.solve(uniform_directions(8))
+    assert calls == {"lu_factor": 2, "lu_solve": 3}
+    solver.far_field_matrix(16)
+    assert calls == {"lu_factor": 2, "lu_solve": 5}
+
+
+@pytest.mark.parametrize("edit", ["zero row", "repeated row"])
+def test_singular_modified_helmholtz_block_raises(edit, monkeypatch):
+    # K~' - I made singular, exactly (a zero row) or to rounding (a repeated
+    # row): the solve must refuse, never return NaN or an inaccurate answer
+    import plate_echo.forward as forward
+
+    def singular(disc, k):
+        A = assemble_system(disc, k)
+        m2 = disc.n_nodes
+        A[m2 + 5, m2:] = 0.0 if edit == "zero row" else A[m2 + 6, m2:]
+        return A
+
+    monkeypatch.setattr(forward, "assemble_system", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                  # LAPACK's zero-pivot and NaN warnings
+        solver = ScatteringSolver(make_curve("star"), K, 64)
+        with pytest.raises(RuntimeError, match="linear solve failed"):
+            solver.solve(uniform_directions(8))
