@@ -20,7 +20,10 @@ import numpy as np
 
 from .forward import FarFieldMatrix
 
-INDICATOR_BLOCK = 4096
+# Test-vector entries (points x N) per block: the test-vector and F phi_z blocks
+# are then 1 MB each at any N, so a block stays in a core's L2 cache from the
+# GEMM to the reduction.
+INDICATOR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,26 +104,34 @@ def _check_indicator(rho: float, which: str) -> None:
         raise ValueError("rho must be positive")
 
 
-def _indicator(entries: np.ndarray, P: np.ndarray, rho: float, which: str) -> np.ndarray:
-    """The indicator for each test vector in the rows of P, shape (m, N)."""
-    FP = P @ entries.T                                  # (m, N): (F phi_z)_i per row
+def _indicator(entries: np.ndarray, P: np.ndarray, rho: float, which: str, FP: np.ndarray) -> np.ndarray:
+    """The indicator for each test vector in the rows of P, shape (m, N).
+
+    F phi_z goes into the caller's (m, N) buffer FP; vecdot conjugates its
+    first argument in its inner loop, so the reduction makes no copy.
+    """
+    np.matmul(P, entries.T, out=FP)                     # (F phi_z)_i per row
     if which == "ip":
-        return np.abs(np.einsum("mi,mi->m", P.conj(), FP)) ** rho
-    return np.linalg.norm(FP, axis=1) ** rho
+        vals = np.abs(np.vecdot(P, FP))
+    else:
+        vals = np.sqrt(np.vecdot(FP, FP).real)
+    return vals ** rho
 
 
 def indicator_values(ff: FarFieldMatrix, points, rho: float, which: str) -> np.ndarray:
     """Vectorized indicator over an (m, 2) array of sampling points.
 
-    Points are taken INDICATOR_BLOCK at a time, so the (points, N) test-vector
-    temporaries stay bounded however fine the grid is.
+    Points are taken INDICATOR_BLOCK // N at a time, so the (points, N)
+    test-vector temporaries stay bounded however many points there are.
     """
     _check_indicator(rho, which)
     points = np.atleast_2d(points)
+    step = max(1, INDICATOR_BLOCK // ff.n_dirs)
     vals = np.empty(len(points))
-    for start in range(0, len(points), INDICATOR_BLOCK):
-        block = slice(start, start + INDICATOR_BLOCK)
-        vals[block] = _indicator(ff.entries, phi_z(ff.k, ff.directions, points[block]), rho, which)
+    FP = np.empty((min(len(points), step), ff.n_dirs), dtype=complex)
+    for start in range(0, len(points), step):
+        P = phi_z(ff.k, ff.directions, points[start:start + step])
+        vals[start:start + len(P)] = _indicator(ff.entries, P, rho, which, FP[:len(P)])
     return vals
 
 
@@ -168,12 +179,15 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     # phi_z(x, y) = phi_z(x, 0) * phi_z(0, y): (nx + ny) N exponentials, not nx ny N
     E_x = phi_z(ff.k, ff.directions, np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, N)
     E_y = phi_z(ff.k, ff.directions, np.stack([np.zeros(ny), ys], axis=-1))   # (ny, N)
-    rows = max(1, INDICATOR_BLOCK // nx)
+    rows = min(ny, max(1, INDICATOR_BLOCK // (nx * ff.n_dirs)))
+    # one test-vector block and one F phi_z block, reused by every row block
+    P = np.empty((rows, nx, ff.n_dirs), dtype=complex)
+    FP = np.empty((rows * nx, ff.n_dirs), dtype=complex)
     vals = np.empty((ny, nx))
     for start in range(0, ny, rows):
-        block = slice(start, start + rows)
-        P = (E_y[block, None, :] * E_x[None, :, :]).reshape(-1, ff.n_dirs)
-        vals[block] = _indicator(ff.entries, P, rho, which).reshape(-1, nx)
+        E = E_y[start:start + rows, None, :]
+        Pb = np.multiply(E, E_x, out=P[:len(E)]).reshape(-1, ff.n_dirs)
+        vals[start:start + len(E)] = _indicator(ff.entries, Pb, rho, which, FP[:len(Pb)]).reshape(-1, nx)
     peak = vals.max()
     if peak <= 0.0:
         raise ValueError("degenerate imaging grid: indicator vanishes everywhere")
@@ -189,12 +203,12 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
 
 def save_grid_csv(grid: ImagingGrid, path) -> None:
     """CSV export: header 'x,y,value', rows in row-major (y outer, x inner)."""
-    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
-    ys = [f"{y:.17g}," for y in grid.ys.tolist()]
+    xs = [f"{x:.17g}" for x in grid.xs.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,value\n")
-        for y, values in zip(ys, grid.values.tolist()):
-            fh.write("".join([f"{x}{y}{v:.17g}\n" for x, v in zip(xs, values)]))
+        for y, values in zip(grid.ys.tolist(), grid.values.tolist()):
+            sep = f",{y:.17g},%.17g\n"
+            fh.write((sep.join(xs) + sep) % tuple(values))
 
 
 def save_grid_pgm(grid: ImagingGrid, path) -> None:

@@ -132,9 +132,8 @@ def check_decay_slope(
     center = np.asarray(center, dtype=float)
     ang = 2.0 * np.pi * np.arange(samples_per_radius) / samples_per_radius
     ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    means = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        means[i] = indicator_values(ff, center + r * ring, rho, which).mean()
+    rings = center + radii[:, None, None] * ring       # (radii, samples, 2)
+    means = indicator_values(ff, rings.reshape(-1, 2), rho, which).reshape(len(radii), -1).mean(axis=1)
     if np.any(means <= 0.0):
         raise RuntimeError("decay fit failed: zero indicator average at some radius")
     slope = np.polyfit(np.log(radii), np.log(means), 1)[0]

@@ -1,8 +1,14 @@
 """Command-line driver: config round trip, commands, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import plate_echo
 from plate_echo.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -174,6 +180,25 @@ def test_image_command(tmp_path):
     assert len(rows) == 1 + 150 * 150
     vals = np.array([float(r.split(",")[2]) for r in rows[1:]])
     assert vals.max() == 1.0
+
+
+def test_image_byte_identical_across_processes(tmp_path):
+    # each interpreter puts the grid buffers at its own addresses, so this
+    # catches reductions whose SIMD sums depend on alignment
+    out = str(tmp_path)
+    assert main(["forward", "--preset", "paper-star", "--out", out]) == EXIT_OK
+    cfg = tmp_path / "noisy.ini"
+    cfg.write_text("[noise]\ndelta = 0.1\nseed = 5\n[output]\nwrite_pgm = true\n")
+    src = str(Path(plate_echo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    files = []
+    for run in ("a", "b"):
+        run_out = tmp_path / run
+        subprocess.run([sys.executable, "-m", "plate_echo.cli", "image", f"{out}/farfield_star.txt",
+                        "--config", str(cfg), "--out", str(run_out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        files.append(((run_out / "grid_ip.csv").read_bytes(), (run_out / "grid_ip.pgm").read_bytes()))
+    assert files[0] == files[1]
 
 
 def test_image_n_mismatch_is_config_error(tmp_path):

@@ -305,12 +305,21 @@ def _small_matrix(n=4):
 
 
 def test_farfield_file_lines_follow_the_format(tmp_path):
-    ff = _small_matrix()
+    _check_farfield_file_lines(tmp_path, 4)
+
+
+def test_farfield_file_lines_follow_the_format_two_digit_rows(tmp_path):
+    # N = 12 takes two-digit row indices into each row's template
+    _check_farfield_file_lines(tmp_path, 12)
+
+
+def _check_farfield_file_lines(tmp_path, n):
+    ff = _small_matrix(n)
     path = tmp_path / "ff.txt"
     save_farfield(ff, path)
-    expected = ["# biharmonic-farfield v1 N=4 k=4 shape=star"]
-    for i in range(4):
-        for j in range(4):
+    expected = [f"# biharmonic-farfield v1 N={n} k=4 shape=star"]
+    for i in range(n):
+        for j in range(n):
             re, im = float(ff.entries[i, j].real), float(ff.entries[i, j].imag)
             expected.append(f"{i + 1} {j + 1} {re:.17g} {im:.17g}")
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")

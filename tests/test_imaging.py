@@ -156,7 +156,8 @@ class TestIndicators:
 
     def test_blocks_match_whole_array_evaluation(self, ff_star):
         # more points than one block, against the unblocked (points, N) formula
-        pts = np.random.default_rng(11).uniform(-4, 4, size=(INDICATOR_BLOCK + 7, 2))
+        n_points = INDICATOR_BLOCK // ff_star.n_dirs + 7
+        pts = np.random.default_rng(11).uniform(-4, 4, size=(n_points, 2))
         P = np.exp(-1j * K * (pts @ ff_star.directions.T))
         FP = P @ ff_star.entries.T
         ip = np.abs(np.einsum("mi,mi->m", P.conj(), FP)) ** 4.0
@@ -224,19 +225,37 @@ class TestGrid:
         with pytest.raises(ValueError):
             evaluate_grid(ff_star, EXTENT, (1, 10), 4.0, "ip")
 
-    @pytest.mark.parametrize("block", [16, INDICATOR_BLOCK])
+    @pytest.mark.parametrize("block", [16, INDICATOR_BLOCK, 4096])
     @pytest.mark.parametrize("resolution", [(7, 5), (301, 3), (40, 37)])
     @pytest.mark.parametrize("which, rho", [("ip", 4.0), ("norm", 8.0)])
     def test_grid_matches_pointwise_indicator(self, ff_star, monkeypatch, block,
                                               resolution, which, rho):
-        # the separable grid phases against phi_z at every grid point; a small
-        # block gives many blocks and a partial last one on both paths
+        # the separable grid phases against phi_z at every grid point; at N = 64
+        # a block of 16 entries holds one point (one grid row), and 4096 and
+        # the default leave partial last blocks
         monkeypatch.setattr(imaging, "INDICATOR_BLOCK", block)
         grid = evaluate_grid(ff_star, (-3.0, 2.5, -1.5, 4.0), resolution, rho, which)
         assert grid.values.shape == resolution[::-1]
         direct = indicator_values(ff_star, grid.points(), rho, which)
         direct = (direct / direct.max()).reshape(grid.values.shape)
         assert np.abs(grid.values - direct).max() < 1e-13
+
+    @pytest.mark.parametrize("which", ["ip", "norm"])
+    def test_indicator_core_matches_explicit_formulas(self, ff_star, monkeypatch, which):
+        # a 23 x 17 grid with 50-point blocks: grids take 2 rows per block and
+        # indicator_values 50 points, so both last blocks are shorter than the buffers
+        monkeypatch.setattr(imaging, "INDICATOR_BLOCK", 50 * ff_star.n_dirs)
+        grid = evaluate_grid(ff_star, (-3.0, 2.5, -1.5, 4.0), (23, 17), 1.0, which)
+        P = np.exp(-1j * K * (grid.points() @ ff_star.directions.T))
+        FP = P @ ff_star.entries.T
+        if which == "ip":
+            explicit = np.abs(np.sum(np.conj(P) * FP, axis=1))
+        else:
+            explicit = np.sqrt(np.sum(np.abs(FP) ** 2, axis=1))
+        values = indicator_values(ff_star, grid.points(), 1.0, which)
+        assert np.max(np.abs(values - explicit) / explicit) <= 1e-13
+        normalized = (explicit / explicit.max()).reshape(grid.values.shape)
+        assert np.max(np.abs(grid.values - normalized) / normalized) <= 1e-13
 
     def test_translation_covariance(self, ff_star):
         v = np.array([0.5, -0.3])
