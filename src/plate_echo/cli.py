@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .forward import ScatteringSolver, assemble_far_field_matrix, load_farfield, save_farfield
+from .farfield import load_farfield, save_farfield
 from .geometry import make_curve
 from .imaging import (
     ApertureMask,
@@ -44,14 +44,9 @@ from .imaging import (
     save_grid_csv,
     save_grid_pgm,
 )
-from .oracle import disk_far_field_matrix
-from .verify import (
-    check_decay_slope,
-    check_equivalence_chain,
-    check_funk_hecke,
-    check_operator_identity,
-    report_line,
-)
+
+# The solver, the oracle and the checks need scipy; the commands that use them
+# import them, so `image`, `--version` and config errors load numpy only.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -272,6 +267,9 @@ def _atomic_write(path: str, writer) -> None:
 # ---------------------------------------------------------------------------
 def cmd_forward(cfg: ExperimentConfig) -> str:
     """Solve, check the operator identity, and write the far-field matrix file only if it passes."""
+    from .forward import assemble_far_field_matrix
+    from .verify import check_operator_identity
+
     ff = assemble_far_field_matrix(cfg.curve(), cfg.k, cfg.n_dirs, cfg.quad_nodes)
     rep = check_operator_identity(ff, tolerance=1e-2)
     print(rep.line())
@@ -312,6 +310,8 @@ def cmd_image(cfg: ExperimentConfig, matrix_path: str) -> str:
 
 def cmd_oracle(cfg: ExperimentConfig) -> str:
     """Write the closed-form disk far-field matrix (circle configs only)."""
+    from .oracle import disk_far_field_matrix
+
     if cfg.shape_kind != "circle":
         raise ConfigError("the oracle command needs shape = circle")
     radius = (cfg.shape_params or (1.0,))[0]
@@ -324,6 +324,16 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
 
 def cmd_verify(cfg: ExperimentConfig) -> None:
     """Run the verification suite; prints one record per check, raises if any fails."""
+    from .forward import ScatteringSolver, assemble_far_field_matrix
+    from .verify import (
+        check_decay_slope,
+        check_equivalence_chain,
+        check_funk_hecke,
+        check_operator_identity,
+        disk_far_field_matrix,
+        report_line,
+    )
+
     k = cfg.k
     lines = []
     ok_all = True
@@ -363,9 +373,10 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
            check_equivalence_chain(ff, zs), 0.05)
 
     big = solver.far_field_matrix(DECAY_DIRECTIONS)
-    for which, rho in (("ip", 1.0), ("ip", 2.0), ("norm", 1.0), ("norm", 2.0)):
+    whiches, rhos = ("ip", "ip", "norm", "norm"), (1.0, 2.0, 1.0, 2.0)
+    slopes = check_decay_slope(big, whiches, rhos, DECAY_RADII)
+    for which, rho, slope in zip(whiches, rhos, slopes):
         expected = -rho if which == "ip" else -rho / 2.0
-        slope = check_decay_slope(big, which, rho, DECAY_RADII)
         record(f"decay_{which}_rho{rho:g}", cfg.shape_kind, DECAY_DIRECTIONS,
                abs(slope - expected), 0.2 * abs(expected))
 

@@ -1,0 +1,80 @@
+"""The multi-static far-field matrix, its directions and its file format.
+
+Numpy only: imaging reads and writes these files without loading the solver
+or scipy.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class FarFieldMatrix:
+    """Multi-static far-field matrix entry(i,j) = u_inf(xhat_i, d_j)."""
+
+    k: float
+    directions: np.ndarray     # (N, 2), theta_i = 2 pi i / N
+    entries: np.ndarray        # (N, N) complex
+    shape_kind: str = ""
+
+    @property
+    def n_dirs(self) -> int:
+        return self.entries.shape[0]
+
+
+def uniform_directions(n_dirs: int) -> np.ndarray:
+    theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+def save_farfield(ff: FarFieldMatrix, path) -> None:
+    """Write the far-field matrix file.
+
+    UTF-8 text: header '# biharmonic-farfield v1 N=<N> k=<k> shape=<kind>',
+    then N^2 lines 'i j re im' (1-based indices, row-major, 17 significant
+    digits).
+    """
+    n = ff.n_dirs
+    # joined with the row index, these pieces give the template of one row's N lines
+    pieces = ["", *(f" {j + 1} %.17g %.17g\n" for j in range(n))]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# biharmonic-farfield v1 N={n} k={ff.k:.17g} shape={ff.shape_kind}\n")
+        for i, row in enumerate(np.ascontiguousarray(ff.entries)):
+            fh.write(str(i + 1).join(pieces) % tuple(row.view(float).tolist()))
+
+
+def load_farfield(path) -> FarFieldMatrix:
+    """Read a far-field matrix file written by save_farfield.
+
+    The body must be exactly N^2 lines of four tokens 'i j re im' with 1-based
+    indices in row-major order (blank lines are skipped); anything else
+    raises ValueError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        fields = header.split()
+        if fields[:3] != ["#", "biharmonic-farfield", "v1"]:
+            raise ValueError(f"not a biharmonic-farfield v1 file: {header!r}")
+        try:
+            meta = dict(f.split("=", 1) for f in fields[3:])
+            n = int(meta["N"])
+            k = float(meta["k"])
+            if n < 1:
+                raise ValueError("N must be positive")
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad far-field header {header!r}") from exc
+        kind = meta.get("shape", "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")                # an empty body is caught below
+            rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+    if rows.shape != (n * n, 4):
+        raise ValueError(f"expected {n * n} entries of 4 values, found {rows.shape[0]}")
+    i, j = np.divmod(np.arange(n * n), n)
+    if not (np.array_equal(rows[:, 0], i + 1) and np.array_equal(rows[:, 1], j + 1)):
+        raise ValueError("far-field entries are not 'i j' in 1-based row-major order")
+    entries = np.ascontiguousarray(rows[:, 2:]).view(complex).reshape(n, n)
+    return FarFieldMatrix(k=k, directions=uniform_directions(n), entries=entries, shape_kind=kind)

@@ -38,12 +38,13 @@ and from n(t).(x(t)-x(s)) ~ (1/2) n.x'' (t-s)^2 at coincident points.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+# the file functions are re-exported, so the solver module serves the whole far-field workflow
+from .farfield import FarFieldMatrix, load_farfield, save_farfield, uniform_directions  # noqa: F401
 from .geometry import ParametricCurve
 from .specfun import EULER_GAMMA, bessel_i, bessel_j, bessel_k, bessel_y
 
@@ -92,25 +93,6 @@ def discretize(curve: ParametricCurve, n_nodes: int, offset: float = 0.0) -> Bou
         normal_raw=nraw,
         curvature_term=ndotxpp / speed**2,
     )
-
-
-@dataclass(frozen=True)
-class FarFieldMatrix:
-    """Multi-static far-field matrix entry(i,j) = u_inf(xhat_i, d_j)."""
-
-    k: float
-    directions: np.ndarray     # (N, 2), theta_i = 2 pi i / N
-    entries: np.ndarray        # (N, N) complex
-    shape_kind: str = ""
-
-    @property
-    def n_dirs(self) -> int:
-        return self.entries.shape[0]
-
-
-def uniform_directions(n_dirs: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +275,6 @@ def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
     return -2.0 * np.concatenate([phase, dn])
 
 
-def _backward_error(system, system_norm, sol, rhs) -> float:
-    """Normwise backward error of a solve of the block system, given its Frobenius norm.
-
-    The residual is formed one block column at a time: the complex left half
-    times phi1, plus the real right half [A12; A22] times the interleaved
-    (re, im) columns of phi2 in one real GEMM.
-    """
-    m2 = system.shape[1] // 2
-    resid = system[:, :m2] @ sol[:m2]
-    resid += (np.ascontiguousarray(system[:, m2:].real) @ sol[m2:].view(float)).view(complex)
-    resid -= rhs
-    num = np.linalg.norm(resid)
-    den = system_norm * np.linalg.norm(sol) + np.linalg.norm(rhs)
-    return float(num / den)
-
-
 class ScatteringSolver:
     """One boundary discretization, assembled and factored once.
 
@@ -331,9 +297,11 @@ class ScatteringSolver:
         self.system_norm = np.linalg.norm(self.system)
         A = self.system
         m2 = n_nodes
-        self.lu22 = lu_factor(A[m2:, m2:].real)
+        # the real right half [A12; A22], contiguous for the real GEMMs here and in every check
+        self.right = np.ascontiguousarray(A[:, m2:].real)
+        self.lu22 = lu_factor(self.right[m2:])
         # W = A12 A22^-1 from A22^T W^T = A12^T
-        self.W = lu_solve(self.lu22, A[:m2, m2:].real.T, trans=1).T
+        self.W = lu_solve(self.lu22, self.right[:m2].T, trans=1).T
         # S = A11 - W A21: W times the interleaved (re, im) columns of A21 is one real GEMM.
         # S is Fortran-ordered so LAPACK factors it in place; non-finite entries (a
         # singular A22) flow on to the finiteness check in solve.
@@ -355,14 +323,32 @@ class ScatteringSolver:
         Wb2 = (self.W @ b2.view(float)).view(complex)
         phi1[...] = lu_solve(self.lu_schur, b1 - Wb2, overwrite_b=True, check_finite=False)
         r2 = b2 - self.system[m2:, :m2] @ phi1
-        phi2.view(float)[...] = lu_solve(self.lu22, r2.view(float), overwrite_b=True, check_finite=False)
-        resid = _backward_error(self.system, self.system_norm, sols, rhs)
+        phi2.view(float)[...] = lu_solve(self.lu22, r2.view(float), check_finite=False)
+        resid = self._backward_error(sols, rhs, r2)
         if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
             raise RuntimeError(
                 f"linear solve failed (relative residual {resid:.3e}); "
                 "the discretized system may be singular"
             )
         return phi1, phi2
+
+    def _backward_error(self, sols, rhs, r2) -> float:
+        """Normwise backward error of a solve of the full block system.
+
+        The real right half [A12; A22] meets the interleaved (re, im) columns
+        of phi2 in one real GEMM. The bottom block row of the residual is then
+        A22 phi2 - r2, with r2 = b2 - A21 phi1 from the solve, so only the top
+        row's A11 phi1 - b1 takes new complex work.
+        """
+        m2 = self.disc.n_nodes
+        resid = (self.right @ sols[m2:].view(float)).view(complex)
+        top = resid[:m2]
+        top += self.system[:m2, :m2] @ sols[:m2]
+        top -= rhs[:m2]
+        resid[m2:] -= r2
+        num = np.linalg.norm(resid)
+        den = self.system_norm * np.linalg.norm(sols) + np.linalg.norm(rhs)
+        return float(num / den)
 
     def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
         """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations.
@@ -392,55 +378,3 @@ def assemble_far_field_matrix(
 ) -> FarFieldMatrix:
     """Build the N x N multi-static matrix from a fresh ScatteringSolver."""
     return ScatteringSolver(curve, k, n_nodes, node_offset).far_field_matrix(n_dirs)
-
-
-# ---------------------------------------------------------------------------
-# far-field matrix file format
-# ---------------------------------------------------------------------------
-def save_farfield(ff: FarFieldMatrix, path) -> None:
-    """Write the far-field matrix file.
-
-    UTF-8 text: header '# biharmonic-farfield v1 N=<N> k=<k> shape=<kind>',
-    then N^2 lines 'i j re im' (1-based indices, row-major, 17 significant
-    digits).
-    """
-    n = ff.n_dirs
-    # joined with the row index, these pieces give the template of one row's N lines
-    pieces = ["", *(f" {j + 1} %.17g %.17g\n" for j in range(n))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# biharmonic-farfield v1 N={n} k={ff.k:.17g} shape={ff.shape_kind}\n")
-        for i, row in enumerate(np.ascontiguousarray(ff.entries)):
-            fh.write(str(i + 1).join(pieces) % tuple(row.view(float).tolist()))
-
-
-def load_farfield(path) -> FarFieldMatrix:
-    """Read a far-field matrix file written by save_farfield.
-
-    The body must be exactly N^2 lines of four tokens 'i j re im' with 1-based
-    indices in row-major order (blank lines are skipped); anything else
-    raises ValueError.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        fields = header.split()
-        if fields[:3] != ["#", "biharmonic-farfield", "v1"]:
-            raise ValueError(f"not a biharmonic-farfield v1 file: {header!r}")
-        try:
-            meta = dict(f.split("=", 1) for f in fields[3:])
-            n = int(meta["N"])
-            k = float(meta["k"])
-            if n < 1:
-                raise ValueError("N must be positive")
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad far-field header {header!r}") from exc
-        kind = meta.get("shape", "")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")                # an empty body is caught below
-            rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
-    if rows.shape != (n * n, 4):
-        raise ValueError(f"expected {n * n} entries of 4 values, found {rows.shape[0]}")
-    i, j = np.divmod(np.arange(n * n), n)
-    if not (np.array_equal(rows[:, 0], i + 1) and np.array_equal(rows[:, 1], j + 1)):
-        raise ValueError("far-field entries are not 'i j' in 1-based row-major order")
-    entries = np.ascontiguousarray(rows[:, 2:]).view(complex).reshape(n, n)
-    return FarFieldMatrix(k=k, directions=uniform_directions(n), entries=entries, shape_kind=kind)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forward import FarFieldMatrix
+from .farfield import FarFieldMatrix
 
 # Test-vector entries (points x N) per block: the test-vector and F phi_z blocks
 # are then 1 MB each at any N, so a block stays in a core's L2 cache from the
@@ -104,35 +104,56 @@ def _check_indicator(rho: float, which: str) -> None:
         raise ValueError("rho must be positive")
 
 
-def _indicator(entries: np.ndarray, P: np.ndarray, rho: float, which: str, FP: np.ndarray) -> np.ndarray:
-    """The indicator for each test vector in the rows of P, shape (m, N).
+def _indicator_pairs(rho, which) -> list:
+    """The (rho, which) pairs asked for: one, or one per entry of two equal-length sequences."""
+    if isinstance(which, str):
+        pairs = [(rho, which)]
+    elif np.ndim(rho) == 1 and len(rho) == len(which):
+        pairs = list(zip(rho, which))
+    else:
+        raise ValueError("with a sequence of indicators, rho must be a sequence of the same length")
+    for r, w in pairs:
+        _check_indicator(r, w)
+    return pairs
 
-    F phi_z goes into the caller's (m, N) buffer FP; vecdot conjugates its
-    first argument in its inner loop, so the reduction makes no copy.
+
+def _indicator(entries: np.ndarray, P: np.ndarray, FP: np.ndarray, names) -> dict:
+    """Raw indicators for each test vector in the rows of P, shape (m, N).
+
+    F phi_z goes into the caller's (m, N) buffer FP once; from it come
+    |(phi_z, F phi_z)| for 'ip' and ||F phi_z|| for 'norm', for each name
+    asked. vecdot conjugates its first argument in its inner loop, so the
+    reductions make no copy.
     """
     np.matmul(P, entries.T, out=FP)                     # (F phi_z)_i per row
-    if which == "ip":
-        vals = np.abs(np.vecdot(P, FP))
-    else:
-        vals = np.sqrt(np.vecdot(FP, FP).real)
-    return vals ** rho
+    raw = {}
+    if "ip" in names:
+        raw["ip"] = np.abs(np.vecdot(P, FP))
+    if "norm" in names:
+        raw["norm"] = np.sqrt(np.vecdot(FP, FP).real)
+    return raw
 
 
-def indicator_values(ff: FarFieldMatrix, points, rho: float, which: str) -> np.ndarray:
+def indicator_values(ff: FarFieldMatrix, points, rho, which):
     """Vectorized indicator over an (m, 2) array of sampling points.
 
+    which and rho may also be equal-length sequences: then the result is a
+    list with one array per (rho, which) pair, all from one F phi_z product.
     Points are taken INDICATOR_BLOCK // N at a time, so the (points, N)
     test-vector temporaries stay bounded however many points there are.
     """
-    _check_indicator(rho, which)
+    pairs = _indicator_pairs(rho, which)
+    names = {w for _, w in pairs}
     points = np.atleast_2d(points)
     step = max(1, INDICATOR_BLOCK // ff.n_dirs)
-    vals = np.empty(len(points))
+    raw = {name: np.empty(len(points)) for name in names}
     FP = np.empty((min(len(points), step), ff.n_dirs), dtype=complex)
     for start in range(0, len(points), step):
         P = phi_z(ff.k, ff.directions, points[start:start + step])
-        vals[start:start + len(P)] = _indicator(ff.entries, P, rho, which, FP[:len(P)])
-    return vals
+        for name, vals in _indicator(ff.entries, P, FP[:len(P)], names).items():
+            raw[name][start:start + len(P)] = vals
+    values = [raw[w] ** r for r, w in pairs]
+    return values[0] if isinstance(which, str) else values
 
 
 @dataclass(frozen=True)
@@ -187,7 +208,9 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     for start in range(0, ny, rows):
         E = E_y[start:start + rows, None, :]
         Pb = np.multiply(E, E_x, out=P[:len(E)]).reshape(-1, ff.n_dirs)
-        vals[start:start + len(E)] = _indicator(ff.entries, Pb, rho, which, FP[:len(Pb)]).reshape(-1, nx)
+        raw = _indicator(ff.entries, Pb, FP[:len(Pb)], (which,))[which]
+        vals[start:start + len(E)] = raw.reshape(-1, nx)
+    vals = vals ** rho
     peak = vals.max()
     if peak <= 0.0:
         raise ValueError("degenerate imaging grid: indicator vanishes everywhere")

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .farfield import FarFieldMatrix, uniform_directions
 from .specfun import (
     bessel_j,
     bessel_k,
@@ -186,16 +187,14 @@ def disk_far_field(sol: DiskScatteringSolution, xhat):
     return vals if vals.size > 1 else complex(vals[0])
 
 
-def disk_far_field_matrix(a: float, k: float, n_dirs: int, order: int | None = None):
+def disk_far_field_matrix(a: float, k: float, n_dirs: int, order: int | None = None) -> FarFieldMatrix:
     """Multi-static far-field matrix of the clamped disk on uniform directions.
 
     Entries u_inf(xhat_i, d_j) for theta_i = 2 pi i / n_dirs. Uses the
     direction-independent mode responses, so one mode solve serves every
     direction. Without an explicit order, the order starts at ceil(ka) + 24
-    and grows until the mode tail converges. Returns a forward.FarFieldMatrix.
+    and grows until the mode tail converges.
     """
-    from .forward import FarFieldMatrix, uniform_directions
-
     _, ra, _ = _converged_modes(a, k, order)
     theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     return FarFieldMatrix(

@@ -306,12 +306,13 @@ def test_degenerate_grid_maps_to_exit_4(tmp_path):
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
-    import plate_echo.cli as cli
+    # cmd_forward imports the solver when it runs, so the patch goes where it looks
+    import plate_echo.forward as forward
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic solver failure")
 
-    monkeypatch.setattr(cli, "assemble_far_field_matrix", boom)
+    monkeypatch.setattr(forward, "assemble_far_field_matrix", boom)
     assert main(["forward", "--out", str(tmp_path)]) == EXIT_SOLVER
 
 

@@ -417,6 +417,22 @@ def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
     assert np.abs(F - F_ref).max() / np.abs(F_ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["star", "circle"])
+def test_backward_error_matches_dense_residual(kind):
+    # a perturbed solution puts the residual far above rounding; the blockwise
+    # check, which reuses r2 = b2 - A21 phi1, against the dense residual
+    solver = ScatteringSolver(make_curve(kind), K, 128)
+    m2 = solver.disc.n_nodes
+    rhs = incident_trace(solver.disc, K, uniform_directions(8))
+    rng = np.random.default_rng(2)
+    sols = np.linalg.solve(solver.system, rhs)
+    sols += 1e-6 * (rng.standard_normal(sols.shape) + 1j * rng.standard_normal(sols.shape))
+    r2 = rhs[m2:] - solver.system[m2:, :m2] @ sols[:m2]
+    dense = np.linalg.norm(solver.system @ sols - rhs) / (
+        solver.system_norm * np.linalg.norm(sols) + np.linalg.norm(rhs))
+    assert solver._backward_error(sols, rhs, r2) == pytest.approx(dense, rel=1e-8)
+
+
 def test_solver_factors_twice_and_solves_through_lu_solve(monkeypatch):
     import plate_echo.forward as forward
 

@@ -165,6 +165,17 @@ class TestIndicators:
         assert np.allclose(indicator_values(ff_star, pts, 4.0, "ip"), ip, rtol=1e-12)
         assert np.allclose(indicator_values(ff_star, pts, 8.0, "norm"), norm, rtol=1e-12)
 
+    def test_pairs_match_single_calls(self, ff_star, monkeypatch):
+        # several (rho, which) pairs share each block's F phi_z product; 50-point
+        # blocks leave a short last block. Each array equals its own call bit for bit.
+        monkeypatch.setattr(imaging, "INDICATOR_BLOCK", 50 * ff_star.n_dirs)
+        pts = np.random.default_rng(3).uniform(-4, 4, size=(137, 2))
+        rhos, whiches = (1.0, 2.0, 8.0, 4.0), ("ip", "norm", "norm", "ip")
+        values = indicator_values(ff_star, pts, rhos, whiches)
+        assert len(values) == 4
+        for r, w, v in zip(rhos, whiches, values):
+            assert np.array_equal(v, indicator_values(ff_star, pts, r, w))
+
     def test_far_point_much_smaller_than_centroid(self, ff_star):
         # at rho = 4 the indicator drops by orders of magnitude ten units out;
         # the quantitative dist^-4 rate is asserted by the decay-slope check,

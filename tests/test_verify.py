@@ -5,7 +5,7 @@ import pytest
 
 from plate_echo.forward import FarFieldMatrix, assemble_far_field_matrix, uniform_directions
 from plate_echo.geometry import make_curve
-from plate_echo.imaging import ImagingGrid
+from plate_echo.imaging import ImagingGrid, indicator_values
 from plate_echo.verify import (
     check_decay_slope,
     check_equivalence_chain,
@@ -125,6 +125,18 @@ class TestEquivalenceChain:
         assert eps_bie <= max(10 * eps_orc, 1e-6)
 
 
+    def test_one_pass_matches_two_indicator_calls(self, ff_star, sample_points):
+        # the slack from one F phi_z product per point block, bit for bit the
+        # formula over separate ip (rho 1) and norm (rho 2) evaluations
+        w = 2.0 * np.pi / ff_star.n_dirs
+        ip_w = w**2 * indicator_values(ff_star, sample_points, 1.0, "ip")
+        nrm2_w = w**3 * indicator_values(ff_star, sample_points, 2.0, "norm")
+        eps_lower = nrm2_w / (8.0 * np.pi) / ip_w - 1.0
+        eps_upper = ip_w / (np.sqrt(2.0 * np.pi) * np.sqrt(nrm2_w)) - 1.0
+        expected = float(max(eps_lower.max(), eps_upper.max(), 0.0))
+        assert check_equivalence_chain(ff_star, sample_points) == expected
+
+
 class TestDecaySlope:
     RADII = np.geomspace(10.0, 100.0, 12)
 
@@ -145,6 +157,23 @@ class TestDecaySlope:
         s1 = check_decay_slope(ff_star_many_dirs, "ip", 1.0, self.RADII)
         s2 = check_decay_slope(scaled, "ip", 1.0, self.RADII)
         assert abs(s1 - s2) < 1e-9
+
+    def test_pairs_match_scalar_calls(self, ff_star_many_dirs):
+        # four (which, rho) pairs from one evaluation of the rings: the same
+        # floats, bit for bit, as one call per pair
+        whiches, rhos = ("ip", "ip", "norm", "norm"), (1.0, 2.0, 1.0, 2.0)
+        slopes = check_decay_slope(ff_star_many_dirs, whiches, rhos, self.RADII)
+        assert slopes == [check_decay_slope(ff_star_many_dirs, w, r, self.RADII)
+                          for w, r in zip(whiches, rhos)]
+        assert all(type(s) is float for s in slopes)
+
+    def test_pairs_need_equal_lengths(self, ff_star):
+        with pytest.raises(ValueError):
+            check_decay_slope(ff_star, ("ip", "norm"), 1.0, self.RADII)
+        with pytest.raises(ValueError):
+            check_decay_slope(ff_star, ("ip", "norm"), (1.0, 2.0, 4.0), self.RADII)
+        with pytest.raises(ValueError):
+            check_decay_slope(ff_star, ("ip", "bogus"), (1.0, 2.0), self.RADII)
 
     def test_zero_average_raises(self):
         ff = FarFieldMatrix(k=K, directions=uniform_directions(16),
