@@ -111,25 +111,10 @@ def kress_log_weights(half: int) -> np.ndarray:
     return -(2.0 * np.pi / n) * c - (np.pi / n**2) * np.cos(np.pi * j)
 
 
-# Rows per kernel-evaluation block: ceil(n_nodes / KERNEL_ROW_BLOCKS).
+# Node rows per assembly block: ceil(n_nodes / KERNEL_ROW_BLOCKS). The system
+# is built one block of rows at a time, so every pairwise array (geometry,
+# kernels, split products) has a block's size, not the full n_nodes^2.
 KERNEL_ROW_BLOCKS = 16
-
-
-def _symmetric_kernel(f, n, x):
-    """f(n, x) for a symmetric matrix x and an elementwise f, evaluated once per symmetric pair.
-
-    Each block of rows a:b evaluates f on the contiguous slice x[a:b, a:] and
-    mirrors the part right of its diagonal block into the columns below it,
-    so the result equals f(n, x) bit for bit at about half the evaluations.
-    """
-    m = x.shape[0]
-    out = np.empty_like(x)
-    step = -(-m // KERNEL_ROW_BLOCKS)
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        out[a:b, a:] = f(n, x[a:b, a:])
-        out[b:, a:b] = out[a:b, b:].T
-    return out
 
 
 def _maue_product(X):
@@ -142,125 +127,162 @@ def _maue_product(X):
     m = X.shape[0]
     kappa = np.fft.fftfreq(m, 1.0 / m)
     kappa[m // 2] = 0.0
-    return np.fft.ifft2(np.fft.fft2(X) * np.outer(kappa, kappa))
+    spectrum = np.fft.fft2(X)
+    spectrum *= np.outer(kappa, kappa)
+    return np.fft.ifft2(spectrum)
 
 
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
-def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
-    """Dense Nystrom matrix of the 2x2 block operator (4n x 4n).
+def _pair_geometry(disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: slice, cols: slice,
+                   scale: float):
+    """k r, ln(4 sin^2((t_i - t_j)/2)), R_{(i-j) mod 2n}, n_j.(x_i - x_j)/r and the geo factor.
 
-    The kernels J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| are
-    evaluated once per symmetric node pair. S~ and K~' - I are real, and the
-    Helmholtz blocks are split into real and imaginary parts, so every block
-    is built in real arithmetic straight into the result.
+    Every entry is computed from its own nodes i in rows and j in cols. Where
+    the block meets the diagonal, r is set to 1 and the log to 0 as
+    placeholders; diagonals are set explicitly.
     """
-    if k <= 0:
-        raise ValueError("assemble_system requires k > 0")
     m2 = disc.n_nodes
-    half = disc.half
-    speed = disc.speed
-    w = np.pi / half
-    diag = np.arange(m2)
-
-    # --- pairwise geometry ---------------------------------------------------
     x1, x2 = disc.x[:, 0], disc.x[:, 1]
-    dx1 = x1[:, None] - x1[None, :]
-    dx2 = x2[:, None] - x2[None, :]
+    dx1 = x1[rows, None] - x1[None, cols]
+    dx2 = x2[rows, None] - x2[None, cols]
     r = np.hypot(dx1, dx2)
-    # bounding-box diagonal of the nodes: the curve's size without a pairwise scan
-    scale = max(float(np.hypot(*np.ptp(disc.x, axis=0))), 1e-30)
-    r[diag, diag] = np.inf
+    d = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+    on_diag = (d - rows.start, d - cols.start)
+    r[on_diag] = np.inf
     if r.min() < 1e-12 * scale:
         raise RuntimeError("degenerate boundary: coincident quadrature nodes")
-    r[diag, diag] = 1.0  # placeholder; diagonals are set explicitly
-    dt = disc.t[:, None] - disc.t[None, :]
+    r[on_diag] = 1.0
+    dt = disc.t[rows, None] - disc.t[None, cols]
     with np.errstate(divide="ignore"):
         lsin = np.log(4.0 * np.sin(dt / 2.0) ** 2)
-    lsin[diag, diag] = 0.0
-    nr = disc.normal_raw
+    lsin[on_diag] = 0.0
+    i = np.arange(rows.start, rows.stop)
+    j = np.arange(cols.start, cols.stop)
+    nr, speed = disc.normal_raw, disc.speed
     # n_j . (x_i - x_j) / r and n_i . (x_i - x_j)
-    q_src = (dx1 * nr[None, :, 0] + dx2 * nr[None, :, 1]) / r
-    q_obs = dx1 * nr[:, None, 0] + dx2 * nr[:, None, 1]
-    kr = k * r
-    Rlog = _as_circulant(kress_log_weights(half))
+    q_src = (dx1 * nr[None, cols, 0] + dx2 * nr[None, cols, 1]) / r
+    q_obs = dx1 * nr[rows, None, 0] + dx2 * nr[rows, None, 1]
+    geo = q_obs * speed[None, cols] / (speed[rows, None] * r)
+    return k * r, lsin, R[(i[:, None] - j[None, :]) % m2], q_src, geo
 
-    def kernel(f, n, *factors):
-        """f(n, kr) once per symmetric pair, multiplied in place by each factor in turn."""
-        out = _symmetric_kernel(f, n, kr)
-        for c in factors:
-            out *= c
-        return out
 
-    def split(out, X1, X, diag1, diag2):
-        """out = R o X1 + (pi/n) X2 for the split X = X1 lsin + X2, with both diagonals set.
+def _fill_entries(A, disc, k, rows, cols, geometry, kernels):
+    """Write the off-diagonal entries of the four blocks at node pairs rows x cols into A.
 
-        Overwrites X1 and X.
-        """
+    geometry is _pair_geometry's output after k r. kernels are J_0, Y_0, J_1,
+    Y_1, I_0, K_0, I_1, K_1 of k r, read only: the mirrored block passes the
+    upper block's values transposed.
+    """
+    m2 = disc.n_nodes
+    w = np.pi / disc.half
+    lsin, Rlog, q_src, geo = geometry
+    J0, Y0, J1, Y1, I0, K0, I1, K1 = kernels
+    lo_r, lo_c = slice(rows.start + m2, rows.stop + m2), slice(cols.start + m2, cols.stop + m2)
+    Are, Aim = A.real, A.imag
+    speed = disc.speed[cols]
+
+    def split(out, X1, X):
+        """out = R o X1 + (pi/n) X2 for the split X = X1 lsin + X2. Overwrites X."""
         X -= X1 * lsin
-        X1[diag, diag] = diag1
-        X[diag, diag] = diag2
         np.multiply(Rlog, X1, out=out)
         X *= w
         out += X
 
-    A = np.empty((2 * m2, 2 * m2), dtype=complex)
-    Are, Aim = A.real, A.imag
-    curvature = disc.curvature_term / (2.0 * np.pi)
-    log_speed = np.log(0.5 * k * speed) + EULER_GAMMA
-
     # --- block (1,1): Helmholtz double layer K + I ---------------------------
     # L = (k/2)(-Y_1 + i J_1) q/r, with the log split of its real part from J_1
-    Jq = kernel(bessel_j, 1, q_src)
-    L = kernel(bessel_y, 1, -0.5 * k, q_src)
-    split(Are[:m2, :m2], -(k / (2.0 * np.pi)) * Jq, L, 0.0, curvature)
-    Are[diag, diag] += 1.0
-    np.multiply(Jq, 0.5 * k * w, out=Aim[:m2, :m2])
-    Aim[diag, diag] = 0.0
+    Jq = J1 * q_src
+    L = Y1 * (-0.5 * k)
+    L *= q_src
+    split(Are[rows, cols], -(k / (2.0 * np.pi)) * Jq, L)
+    np.multiply(Jq, 0.5 * k * w, out=Aim[rows, cols])
 
     # --- block (1,2): modified-Helmholtz single layer (real) -----------------
-    M1 = kernel(bessel_i, 0, -(1.0 / (2.0 * np.pi)), speed)
-    M = kernel(bessel_k, 0, 1.0 / np.pi, speed)
-    split(Are[:m2, m2:], M1, M, -(1.0 / (2.0 * np.pi)) * speed, -(1.0 / np.pi) * log_speed * speed)
+    M1 = I0 * -(1.0 / (2.0 * np.pi))
+    M1 *= speed
+    M = K0 * (1.0 / np.pi)
+    M *= speed
+    split(Are[rows, lo_c], M1, M)
 
     # --- block (2,2): modified-Helmholtz adjoint double layer - I (real) -----
-    geo = q_obs * speed[None, :] / (speed[:, None] * r)
-    P1 = kernel(bessel_i, 1, -(k / (2.0 * np.pi)), geo)
-    P = kernel(bessel_k, 1, -(k / np.pi), geo)
-    block_Kp = Are[m2:, m2:]
-    split(block_Kp, P1, P, 0.0, curvature)
-    block_Kp[diag, diag] -= 1.0
+    P1 = I1 * -(k / (2.0 * np.pi))
+    P1 *= geo
+    P = K1 * -(k / np.pi)
+    P *= geo
+    split(Are[lo_r, lo_c], P1, P)
+
+    # --- block (2,1), first A_phi: the split of G = -Y_0/4 + i J_0/4 ---------
+    G = Y0 * -0.25
+    split(Are[lo_r, cols], -(1.0 / (4.0 * np.pi)) * J0, G)
+    np.multiply(J0, 0.25 * w, out=Aim[lo_r, cols])
+
+
+def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
+    """Dense Nystrom matrix of the 2x2 block operator (4n x 4n).
+
+    The system is built in row blocks [a:b] of the nodes. Each block
+    evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on its
+    upper trapezoid [a:b, a:] and fills those entries of all four blocks; the
+    mirrored block [b:, a:b] takes the same kernel values transposed and its
+    own geometry. So the kernels are evaluated once per symmetric node pair,
+    and besides the result only the Maue product's FFT buffers are full size.
+    S~ and K~' - I are real, and the Helmholtz blocks are split into real and
+    imaginary parts, so every block is built in real arithmetic straight into
+    the result.
+    """
+    if k <= 0:
+        raise ValueError("assemble_system requires k > 0")
+    m2 = disc.n_nodes
+    speed = disc.speed
+    w = np.pi / disc.half
+    R = kress_log_weights(disc.half)
+    # bounding-box diagonal of the nodes: the curve's size without a pairwise scan
+    scale = max(float(np.hypot(*np.ptp(disc.x, axis=0))), 1e-30)
+
+    A = np.empty((2 * m2, 2 * m2), dtype=complex)
+    Are, Aim = A.real, A.imag
     Aim[:, m2:] = 0.0
+    step = -(-m2 // KERNEL_ROW_BLOCKS)
+    for a in range(0, m2, step):
+        b = min(a + step, m2)
+        kr, *upper = _pair_geometry(disc, k, R, slice(a, b), slice(a, m2), scale)
+        kernels = [bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr),
+                   bessel_i(0, kr), bessel_k(0, kr), bessel_i(1, kr), bessel_k(1, kr)]
+        _fill_entries(A, disc, k, slice(a, b), slice(a, m2), upper, kernels)
+        if b < m2:
+            _, *lower = _pair_geometry(disc, k, R, slice(b, m2), slice(a, b), scale)
+            _fill_entries(A, disc, k, slice(b, m2), slice(a, b), lower,
+                          [K[:, b - a:].T for K in kernels])
+
+    # --- diagonals of the splits, R_0 diag1 + (pi/n) diag2, and the +-1 -------
+    # (diag1 = 0 for both double layers, so theirs are (pi/n) curvature +- 1)
+    diag = np.arange(m2)
+    low = diag + m2
+    curvature = disc.curvature_term / (2.0 * np.pi) * w
+    log_speed = np.log(0.5 * k * speed) + EULER_GAMMA
+    Are[diag, diag] = curvature + 1.0
+    Aim[diag, diag] = 0.0
+    Are[diag, low] = (R[0] * (-(1.0 / (2.0 * np.pi)) * speed)
+                      + (-(1.0 / np.pi) * log_speed * speed) * w)
+    Are[low, low] = curvature - 1.0
+    Are[low, diag] = R[0] * -(1.0 / (4.0 * np.pi)) + (-(1.0 / (2.0 * np.pi)) * log_speed) * w
+    Aim[low, diag] = 0.25 * w
 
     # --- block (2,1): hypersingular block through the Maue split -------------
-    # A_phi is the split of G = -Y_0/4 + i J_0/4, whose log part comes from J_0
-    J0 = kernel(bessel_j, 0)
-    G = kernel(bessel_y, 0, -0.25)
-    A_phi = np.empty((m2, m2), dtype=complex)
-    split(A_phi.real, -(1.0 / (4.0 * np.pi)) * J0, G, -(1.0 / (4.0 * np.pi)),
-          -(1.0 / (2.0 * np.pi)) * log_speed)
-    phi_im = A_phi.imag
-    np.multiply(J0, 0.25 * w, out=phi_im)
-    phi_im[diag, diag] = 0.25 * w
-    # A_nu = A_phi o (nu_i . nu_j |x'_j|), that factor's diagonal being |x'_i|
+    # A_nu = A_phi o (nu_i . nu_j |x'_j|), that factor's diagonal being |x'_i|;
+    # A_phi sits in the block until DAD is taken from it
+    block_T = A[m2:, :m2]
+    DAD = _maue_product(block_T)
     nu = disc.normal
     nunu = nu @ nu.T
     nunu *= speed
     nunu[diag, diag] = speed
     nunu *= 2.0 * k**2
-    block_T = A[m2:, :m2]
-    np.multiply(A_phi, nunu, out=block_T)
-    DAD = _maue_product(A_phi)
+    block_T *= nunu
     DAD *= (2.0 / speed)[:, None]
     block_T += DAD
     return A
-
-
-def _as_circulant(weights: np.ndarray) -> np.ndarray:
-    n = len(weights)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return weights[idx]
 
 
 def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
@@ -297,17 +319,18 @@ class ScatteringSolver:
         self.system_norm = np.linalg.norm(self.system)
         A = self.system
         m2 = n_nodes
-        # the real right half [A12; A22], contiguous for the real GEMMs here and in every check
-        self.right = np.ascontiguousarray(A[:, m2:].real)
-        self.lu22 = lu_factor(self.right[m2:])
+        self.lu22 = lu_factor(A[m2:, m2:].real)
         # W = A12 A22^-1 from A22^T W^T = A12^T
-        self.W = lu_solve(self.lu22, self.right[:m2].T, trans=1).T
+        self.W = lu_solve(self.lu22, A[:m2, m2:].real.T, trans=1).T
         # S = A11 - W A21: W times the interleaved (re, im) columns of A21 is one real GEMM.
         # S is Fortran-ordered so LAPACK factors it in place; non-finite entries (a
         # singular A22) flow on to the finiteness check in solve.
         S = np.array(A[:m2, :m2], order="F")
         S -= (self.W @ A[m2:, :m2].view(float)).view(complex)
         self.lu_schur = lu_factor(S, overwrite_a=True, check_finite=False)
+        # the real right half [A12; A22], contiguous for the real GEMMs of every check;
+        # copied last, so it is never held together with the GEMM's product above
+        self.right = np.ascontiguousarray(A[:, m2:].real)
 
     def solve(self, directions):
         """Densities (phi1, phi2) for one incident direction or an (M, 2) array of them.

@@ -1,5 +1,6 @@
 """Integral-equation solver: block-level and end-to-end validation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from plate_echo import forward, specfun
 from plate_echo.forward import (
     FarFieldMatrix,
     ScatteringSolver,
     _maue_product,
-    _symmetric_kernel,
     assemble_far_field_matrix,
     assemble_system,
     discretize,
@@ -23,7 +24,6 @@ from plate_echo.forward import (
     uniform_directions,
 )
 from plate_echo.geometry import make_curve
-from plate_echo.specfun import bessel_i, bessel_j, bessel_k, bessel_y
 
 K = 4.0
 
@@ -104,22 +104,53 @@ def test_maue_product_matches_dense_differentiation(m):
     assert np.linalg.norm(_maue_product(X) - dense) / np.linalg.norm(dense) < 1e-12
 
 
-@pytest.mark.parametrize("m", [18, 130])
-def test_symmetric_kernel_equals_full_evaluation(m):
-    rng = np.random.default_rng(m)
-    x = rng.uniform(0.05, 40.0, (m, m))
-    x = x + x.T
-    evaluated = []
+@pytest.mark.parametrize("kind, m2", [("star", 130), ("kite", 64)])
+def test_row_blocks_leave_the_system_bit_identical(kind, m2, monkeypatch):
+    # one block runs every formula on full arrays; one row per block mirrors
+    # the most; 130 rows end the default blocking with a partial block
+    disc = discretize(make_curve(kind), m2)
+    systems = []
+    for blocks in (1, forward.KERNEL_ROW_BLOCKS, m2):
+        monkeypatch.setattr(forward, "KERNEL_ROW_BLOCKS", blocks)
+        systems.append(assemble_system(disc, K).tobytes())
+    assert systems[0] == systems[1] == systems[2]
 
-    for f in (bessel_j, bessel_y, bessel_i, bessel_k):
-        def counting(n, t, f=f):
-            evaluated.append(t.size)
-            return f(n, t)
 
-        for n in (0, 1):
-            assert np.array_equal(_symmetric_kernel(counting, n, x), f(n, x))
-    # each call evaluates the upper block trapezoid: about half the pairs
-    assert sum(evaluated) / 8 < 0.6 * m * m
+class _CountingSpecial:
+    """Stands in for scipy.special and counts the values each routine returns."""
+
+    def __init__(self):
+        self.values = 0
+
+    def __getattr__(self, name):
+        fn = getattr(sp, name)
+
+        def counted(*args):
+            out = fn(*args)
+            self.values += np.size(out)
+            return out
+        return counted
+
+
+def test_kernels_evaluated_once_per_symmetric_pair(monkeypatch):
+    m2 = 130
+    disc = discretize(make_curve("star"), m2)
+    counter = _CountingSpecial()
+    monkeypatch.setattr(specfun, "sp", counter)
+    assemble_system(disc, K)
+    # eight kernels, each on the upper block trapezoids: about half of the pairs
+    assert 8 * m2 * (m2 + 1) / 2 <= counter.values < 0.6 * 8 * m2 * m2
+
+
+def test_assembly_peak_memory_is_a_small_multiple_of_the_system():
+    disc = discretize(make_curve("star"), 512)
+    tracemalloc.start()
+    try:
+        A = assemble_system(disc, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * A.nbytes
 
 
 def test_modified_helmholtz_blocks_are_real():
