@@ -24,7 +24,7 @@ _EXPORTS = {
                     "disk_far_field_matrix")),
         ("imaging", ("NoiseModel", "ApertureMask", "ImagingGrid", "add_noise", "apply_mask",
                      "phi_z", "w_ip", "w_norm", "evaluate_grid")),
-        ("verify", ("IdentityResidualReport", "check_funk_hecke", "check_operator_identity",
+        ("verify", ("CheckRecord", "check_funk_hecke", "check_operator_identity",
                     "check_decay_slope", "check_equivalence_chain", "reconstruction_overlap")),
     )
     for name in names

@@ -87,6 +87,8 @@ class ExperimentConfig:
     write_pgm: bool = False
 
     def validate(self) -> "ExperimentConfig":
+        if not np.all(np.isfinite((self.k, self.rho, *self.extent))):
+            raise ConfigError("k, rho and extent must be finite")
         if self.k <= 0:
             raise ConfigError("k must be positive")
         if self.n_dirs < 4:
@@ -314,8 +316,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
 
     if cfg.shape_kind != "circle":
         raise ConfigError("the oracle command needs shape = circle")
-    radius = (cfg.shape_params or (1.0,))[0]
-    ff = disk_far_field_matrix(radius, cfg.k, cfg.n_dirs)
+    ff = disk_far_field_matrix(cfg.shape_params[0], cfg.k, cfg.n_dirs)
     path = os.path.join(cfg.out_dir, "farfield_circle_oracle.txt")
     _atomic_write(path, lambda p: save_farfield(ff, p))
     print(f"wrote {path}")
@@ -326,62 +327,51 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
     """Run the verification suite; prints one record per check, raises if any fails."""
     from .forward import ScatteringSolver, assemble_far_field_matrix
     from .verify import (
+        CheckRecord,
         check_decay_slope,
         check_equivalence_chain,
         check_funk_hecke,
         check_operator_identity,
         disk_far_field_matrix,
-        report_line,
     )
 
-    k = cfg.k
-    lines = []
-    ok_all = True
-
-    def record(check, shape, n, value, tol):
-        nonlocal ok_all
-        ok = bool(value <= tol)
-        ok_all = ok_all and ok
-        lines.append(report_line(check, shape, k, n, value, tol, ok))
-
+    k, n = cfg.k, cfg.n_dirs
     # circle-average identity, including the J_0-zero separation
     j0_zero = 2.404825557695773
-    for name, sep in (("funk_hecke_origin", 0.0), ("funk_hecke_j0zero", j0_zero / k),
-                      ("funk_hecke_sep10", 10.0 / k)):
-        res = check_funk_hecke(k, (sep, 0.0), (0.0, 0.0), cfg.n_dirs)
-        record(name, "-", cfg.n_dirs, res, 1e-10)
+    records = [
+        CheckRecord(name, "-", k, n, check_funk_hecke(k, (sep, 0.0), (0.0, 0.0), n), 1e-10)
+        for name, sep in (("funk_hecke_origin", 0.0), ("funk_hecke_j0zero", j0_zero / k),
+                          ("funk_hecke_sep10", 10.0 / k))
+    ]
 
-    radius = (cfg.shape_params or (1.0,))[0] if cfg.shape_kind == "circle" else 1.0
-    orc = disk_far_field_matrix(radius, k, cfg.n_dirs)
-    record("identity_oracle", "circle", cfg.n_dirs,
-           check_operator_identity(orc).residual, 1e-6)
+    radius = cfg.shape_params[0] if cfg.shape_kind == "circle" else 1.0
+    orc = disk_far_field_matrix(radius, k, n)
+    records.append(replace(check_operator_identity(orc, 1e-6), check="identity_oracle"))
 
     solver = ScatteringSolver(cfg.curve(), k, cfg.quad_nodes)
-    ff = solver.far_field_matrix(cfg.n_dirs)
-    record("identity_bie", cfg.shape_kind, cfg.n_dirs,
-           check_operator_identity(ff).residual, 1e-2)
+    ff = solver.far_field_matrix(n)
+    records.append(replace(check_operator_identity(ff, 1e-2), check="identity_bie"))
 
-    disk_bie = assemble_far_field_matrix(make_curve("circle", (radius,)), k,
-                                         cfg.n_dirs, cfg.quad_nodes)
+    disk_bie = assemble_far_field_matrix(make_curve("circle", (radius,)), k, n, cfg.quad_nodes)
     agree = np.abs(disk_bie.entries - orc.entries).max() / np.abs(orc.entries).max()
-    record("disk_bie_vs_oracle", "circle", cfg.n_dirs, agree, 1e-6)
+    records.append(CheckRecord("disk_bie_vs_oracle", "circle", k, n, agree, 1e-6))
 
     zs = np.random.default_rng(0).uniform(-4.0, 4.0, size=(100, 2))
-    record("equivalence_oracle", "circle", cfg.n_dirs,
-           check_equivalence_chain(orc, zs), 1e-6)
-    record("equivalence_bie", cfg.shape_kind, cfg.n_dirs,
-           check_equivalence_chain(ff, zs), 0.05)
+    records.append(CheckRecord("equivalence_oracle", "circle", k, n,
+                               check_equivalence_chain(orc, zs), 1e-6))
+    records.append(CheckRecord("equivalence_bie", cfg.shape_kind, k, n,
+                               check_equivalence_chain(ff, zs), 0.05))
 
     big = solver.far_field_matrix(DECAY_DIRECTIONS)
     whiches, rhos = ("ip", "ip", "norm", "norm"), (1.0, 2.0, 1.0, 2.0)
     slopes = check_decay_slope(big, whiches, rhos, DECAY_RADII)
     for which, rho, slope in zip(whiches, rhos, slopes):
         expected = -rho if which == "ip" else -rho / 2.0
-        record(f"decay_{which}_rho{rho:g}", cfg.shape_kind, DECAY_DIRECTIONS,
-               abs(slope - expected), 0.2 * abs(expected))
+        records.append(CheckRecord(f"decay_{which}_rho{rho:g}", cfg.shape_kind, k,
+                                   DECAY_DIRECTIONS, abs(slope - expected), 0.2 * abs(expected)))
 
-    print("\n".join(lines))
-    if not ok_all:
+    print("\n".join(r.line() for r in records))
+    if not all(r.passed for r in records):
         raise VerificationFailure("a check exceeded its tolerance")
     print("verification: ok")
 

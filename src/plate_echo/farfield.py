@@ -51,8 +51,8 @@ def load_farfield(path) -> FarFieldMatrix:
     """Read a far-field matrix file written by save_farfield.
 
     The body must be exactly N^2 lines of four tokens 'i j re im' with 1-based
-    indices in row-major order (blank lines are skipped); anything else
-    raises ValueError.
+    indices in row-major order (blank lines are skipped), and finite values
+    with a positive, finite k; anything else raises ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -63,8 +63,8 @@ def load_farfield(path) -> FarFieldMatrix:
             meta = dict(f.split("=", 1) for f in fields[3:])
             n = int(meta["N"])
             k = float(meta["k"])
-            if n < 1:
-                raise ValueError("N must be positive")
+            if n < 1 or not 0.0 < k < np.inf:
+                raise ValueError("N and k must be positive, k finite")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad far-field header {header!r}") from exc
         kind = meta.get("shape", "")
@@ -73,6 +73,8 @@ def load_farfield(path) -> FarFieldMatrix:
             rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
     if rows.shape != (n * n, 4):
         raise ValueError(f"expected {n * n} entries of 4 values, found {rows.shape[0]}")
+    if not np.all(np.isfinite(rows[:, 2:])):
+        raise ValueError("far-field entries must be finite")
     i, j = np.divmod(np.arange(n * n), n)
     if not (np.array_equal(rows[:, 0], i + 1) and np.array_equal(rows[:, 1], j + 1)):
         raise ValueError("far-field entries are not 'i j' in 1-based row-major order")

@@ -142,15 +142,12 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
             (a,) = params
             if a <= 0:
                 raise ValueError("circle radius must be positive")
-            r = lambda th: np.full_like(th, a)
             dr = lambda th: np.zeros_like(th)
             ddr = lambda th: np.zeros_like(th)
         elif kind == "ellipse":
             a, b = params
             if a <= 0 or b <= 0:
                 raise ValueError("ellipse semi-axes must be positive")
-            prof = _radial_profile(kind, params)
-            r = prof
             # r(th)^2 = a^2 b^2 / q(th); differentiate q = (b cos)^2 + (a sin)^2.
             def dr(th):
                 q = (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2
@@ -166,9 +163,6 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
             (s,) = params
             if s <= 0:
                 raise ValueError("peanut scale must be positive")
-
-            def r(th):
-                return 0.5 * s * np.sqrt(3.0 * np.cos(th) ** 2 + 1.0)
 
             def dr(th):
                 q = 3.0 * np.cos(th) ** 2 + 1.0
@@ -186,16 +180,13 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
             if not abs(amp) < 1:
                 raise ValueError("star amplitude must satisfy |amp| < 1 so r > 0")
 
-            def r(th):
-                return s * (1.0 + amp * np.cos(m * th))
-
             def dr(th):
                 return -s * amp * m * np.sin(m * th)
 
             def ddr(th):
                 return -s * amp * m * m * np.cos(m * th)
 
-        pos, vel, acc = _radial_closures(r, dr, ddr)
+        pos, vel, acc = _radial_closures(_radial_profile(kind, params), dr, ddr)
 
     curve = ParametricCurve(kind=kind, params=params, _pos=pos, _vel=vel, _acc=acc)
     _validate(curve)

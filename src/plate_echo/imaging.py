@@ -14,7 +14,7 @@ modeled by zeroing receiver rows / source columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,8 +167,6 @@ class ImagingGrid:
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
-    normalized: bool = True
-    meta: dict = field(default_factory=dict)
 
     @property
     def resolution(self) -> tuple:
@@ -188,7 +186,7 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     """Evaluate the chosen indicator on the grid, then max-normalize.
 
     extent = (x_min, x_max, y_min, y_max); resolution = (nx, ny) with
-    endpoints included. Raises if the grid is identically zero.
+    endpoints included. Raises unless the grid's peak is positive and finite.
     """
     _check_indicator(rho, which)
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -210,18 +208,12 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
         Pb = np.multiply(E, E_x, out=P[:len(E)]).reshape(-1, ff.n_dirs)
         raw = _indicator(ff.entries, Pb, FP[:len(Pb)], (which,))[which]
         vals[start:start + len(E)] = raw.reshape(-1, nx)
-    vals = vals ** rho
+    with np.errstate(over="ignore"):                    # an inf peak is refused below
+        vals = vals ** rho
     peak = vals.max()
-    if peak <= 0.0:
-        raise ValueError("degenerate imaging grid: indicator vanishes everywhere")
-    return ImagingGrid(
-        extent=(x_min, x_max, y_min, y_max),
-        xs=xs,
-        ys=ys,
-        values=vals / peak,
-        normalized=True,
-        meta={"rho": rho, "which": which, "k": ff.k, "n_dirs": ff.n_dirs},
-    )
+    if not 0.0 < peak < np.inf:
+        raise ValueError(f"degenerate imaging grid: indicator peak {peak:g} is not positive and finite")
+    return ImagingGrid(extent=(x_min, x_max, y_min, y_max), xs=xs, ys=ys, values=vals / peak)
 
 
 def save_grid_csv(grid: ImagingGrid, path) -> None:

@@ -15,7 +15,7 @@ operator as w F, and the checks read:
     reported as the largest multiplicative slack (1 + eps) needed;
   * indicator decay: the angular average of w_ip (w_norm) at radius r falls
     like r^{-rho} (r^{-rho/2}); measured as a log-log least-squares slope.
-    Angular averaging (32 samples per radius by default) suppresses the
+    Angular averaging (DECAY_RING_SAMPLES per radius) suppresses the
     Bessel oscillation that makes single rays non-monotone. The sampled test
     vectors resolve the radial oscillation only while k r < N/2, so decay
     checks need a matrix with enough directions for the outermost radius
@@ -36,32 +36,30 @@ from .imaging import ImagingGrid, indicator_values
 from .oracle import disk_far_field_matrix  # noqa: F401
 from .specfun import bessel_j
 
+DECAY_RING_SAMPLES = 32   # points per ring, centred on the origin, in check_decay_slope
+
 
 @dataclass(frozen=True)
-class IdentityResidualReport:
-    """Outcome of the operator-identity check; passed iff residual <= tolerance."""
+class CheckRecord:
+    """One check's outcome; passed iff value <= tolerance, so a NaN value fails."""
 
-    residual: float
-    n_dirs: int
-    shape_kind: str
+    check: str
+    shape: str
     k: float
+    n_dirs: int
+    value: float
     tolerance: float
-    passed: bool
-    degenerate: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.tolerance)
 
     def line(self) -> str:
-        return report_line(
-            "operator_identity", self.shape_kind, self.k, self.n_dirs,
-            self.residual, self.tolerance, self.passed,
+        """The machine-readable record printed by the commands."""
+        return (
+            f"check={self.check} shape={self.shape or '-'} k={self.k:g} N={self.n_dirs} "
+            f"value={self.value:.6e} tol={self.tolerance:g} pass={int(self.passed)}"
         )
-
-
-def report_line(check: str, shape: str, k: float, n: int, value: float, tol: float, ok: bool) -> str:
-    """One machine-readable record per check."""
-    return (
-        f"check={check} shape={shape or '-'} k={k:g} N={n} "
-        f"value={value:.6e} tol={tol:g} pass={int(ok)}"
-    )
 
 
 def check_funk_hecke(k: float, x, z, n_dirs: int) -> float:
@@ -76,23 +74,17 @@ def check_funk_hecke(k: float, x, z, n_dirs: int) -> float:
     return float(abs(quad - exact))
 
 
-def check_operator_identity(ff: FarFieldMatrix, tolerance: float = 1e-2) -> IdentityResidualReport:
-    """Relative Frobenius residual of F - F^H = (i/4pi) w F^H F, w = 2pi/N."""
+def check_operator_identity(ff: FarFieldMatrix, tolerance: float = 1e-2) -> CheckRecord:
+    """Relative Frobenius residual of F - F^H = (i/4pi) w F^H F, w = 2pi/N; NaN for F = 0."""
     F = ff.entries
     norm = np.linalg.norm(F)
-    if norm == 0.0:
-        return IdentityResidualReport(
-            residual=float("nan"), n_dirs=ff.n_dirs, shape_kind=ff.shape_kind,
-            k=ff.k, tolerance=tolerance, passed=False, degenerate=True,
-        )
-    w = 2.0 * np.pi / ff.n_dirs
-    lhs = F - F.conj().T
-    rhs = (0.25j / np.pi) * w * (F.conj().T @ F)
-    residual = float(np.linalg.norm(lhs - rhs) / norm)
-    return IdentityResidualReport(
-        residual=residual, n_dirs=ff.n_dirs, shape_kind=ff.shape_kind,
-        k=ff.k, tolerance=tolerance, passed=residual <= tolerance,
-    )
+    residual = float("nan")
+    if norm != 0.0:
+        w = 2.0 * np.pi / ff.n_dirs
+        lhs = F - F.conj().T
+        rhs = (0.25j / np.pi) * w * (F.conj().T @ F)
+        residual = float(np.linalg.norm(lhs - rhs) / norm)
+    return CheckRecord("operator_identity", ff.shape_kind, ff.k, ff.n_dirs, residual, tolerance)
 
 
 def check_equivalence_chain(ff: FarFieldMatrix, sample_points) -> float:
@@ -117,14 +109,7 @@ def check_equivalence_chain(ff: FarFieldMatrix, sample_points) -> float:
     return float(max(eps_lower.max(), eps_upper.max(), 0.0))
 
 
-def check_decay_slope(
-    ff: FarFieldMatrix,
-    which,
-    rho,
-    radii,
-    samples_per_radius: int = 32,
-    center=(0.0, 0.0),
-):
+def check_decay_slope(ff: FarFieldMatrix, which, rho, radii):
     """Log-log slope of the angularly averaged indicator vs radius.
 
     Expected about -rho for 'ip' and -rho/2 for 'norm'. radii must be
@@ -135,10 +120,9 @@ def check_decay_slope(
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be a strictly increasing sequence")
-    center = np.asarray(center, dtype=float)
-    ang = 2.0 * np.pi * np.arange(samples_per_radius) / samples_per_radius
+    ang = 2.0 * np.pi * np.arange(DECAY_RING_SAMPLES) / DECAY_RING_SAMPLES
     ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    rings = center + radii[:, None, None] * ring       # (radii, samples, 2)
+    rings = radii[:, None, None] * ring                 # (radii, samples, 2)
     values = indicator_values(ff, rings.reshape(-1, 2), rho, which)
     slopes = []
     for vals in [values] if isinstance(which, str) else values:

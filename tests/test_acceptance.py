@@ -64,11 +64,11 @@ def test_criterion_1_disk_oracle_equivalence(ff_oracle):
 
 def test_criterion_2_operator_identity(ff_oracle, ff_star, ff_star_256,
                                         ff_peanut, ff_peanut_256):
-    r_orc = check_operator_identity(ff_oracle).residual
-    r_star = check_operator_identity(ff_star).residual
-    r_star2 = check_operator_identity(ff_star_256).residual
-    r_pea = check_operator_identity(ff_peanut).residual
-    r_pea2 = check_operator_identity(ff_peanut_256).residual
+    r_orc = check_operator_identity(ff_oracle).value
+    r_star = check_operator_identity(ff_star).value
+    r_star2 = check_operator_identity(ff_star_256).value
+    r_pea = check_operator_identity(ff_peanut).value
+    r_pea2 = check_operator_identity(ff_peanut_256).value
     # refinement decreases the residual until the direction-aliasing floor
     floor = 1e-9
     ok = (

@@ -11,9 +11,11 @@ import pytest
 import plate_echo
 from plate_echo.cli import (
     EXIT_CONFIG,
+    EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VERIFY,
+    ConfigError,
     ExperimentConfig,
     PRESETS,
     cmd_forward,
@@ -132,6 +134,11 @@ def test_config_validation_errors():
         parse_config_text("[imaging]\nwhich = both\n")
     with pytest.raises(Exception):
         parse_config_text("[mask]\nrows = 99\n")
+    for text in ("[experiment]\nk = nan\n", "[experiment]\nk = inf\n",
+                 "[imaging]\nrho = nan\n", "[imaging]\nrho = inf\n",
+                 "[imaging]\nextent = nan, 4, -4, 4\n", "[imaging]\nextent = -4, 4, -inf, 4\n"):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
 
 
 def test_forward_circle_is_circulant(tmp_path, capsys):
@@ -254,11 +261,24 @@ def test_oracle_command_at_k16(tmp_path):
     assert load_farfield(tmp_path / "farfield_circle_oracle.txt").k == 16.0
 
 
+VERIFY_CHECKS = [
+    "funk_hecke_origin", "funk_hecke_j0zero", "funk_hecke_sep10",
+    "identity_oracle", "identity_bie", "disk_bie_vs_oracle",
+    "equivalence_oracle", "equivalence_bie",
+    "decay_ip_rho1", "decay_ip_rho2", "decay_norm_rho1", "decay_norm_rho2",
+]
+
+
 def test_verify_default_passes(tmp_path, capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "verification: ok" in out
     assert out.count("pass=1") >= 12
+    records = [line.split() for line in out.splitlines() if line.startswith("check=")]
+    assert [fields[0] for fields in records] == [f"check={name}" for name in VERIFY_CHECKS]
+    for fields in records:
+        assert [f.split("=", 1)[0] for f in fields] == ["check", "shape", "k", "N", "value", "tol", "pass"]
+        assert fields[-1] == "pass=1"
 
 
 def test_verify_assembles_each_system_once(monkeypatch):
@@ -288,10 +308,14 @@ def test_k_zero_is_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[experiment]\nk = 0\n")
     assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
+    # a NaN k passes "k <= 0"; it must still be a config error, not a solver one
+    cfg.write_text("[experiment]\nshape = circle\nk = nan\n")
+    for command in ("forward", "verify", "oracle"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert not list(tmp_path.glob("farfield_*"))
 
 
-def test_degenerate_grid_maps_to_exit_4(tmp_path):
-    from plate_echo.cli import EXIT_DEGENERATE
+def test_degenerate_grid_maps_to_exit_4(tmp_path, ff_star):
     from plate_echo.forward import FarFieldMatrix, save_farfield, uniform_directions
 
     zero = FarFieldMatrix(
@@ -303,6 +327,13 @@ def test_degenerate_grid_maps_to_exit_4(tmp_path):
     path = tmp_path / "zeros.txt"
     save_farfield(zero, path)
     assert main(["image", str(path), "--out", str(tmp_path)]) == EXIT_DEGENERATE
+    # a finite rho whose powers overflow: the grid peak is inf, the values NaN
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    cfg = tmp_path / "rho400.ini"
+    cfg.write_text("[imaging]\nrho = 400\n")
+    assert main(["image", str(star), "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DEGENERATE
+    assert not list(tmp_path.glob("grid_*"))
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):

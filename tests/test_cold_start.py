@@ -19,7 +19,7 @@ from plate_echo.farfield import save_farfield
 SRC = Path(plate_echo.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# plate_echo.__all__ as it stood when every name was imported eagerly
+# plate_echo.__all__, written out so that a change to the public names shows here
 PUBLIC_NAMES = [
     "ParametricCurve", "make_curve", "SHAPE_KINDS",
     "BoundaryDiscretization", "FarFieldMatrix", "ScatteringSolver",
@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "DiskScatteringSolution", "solve_disk", "disk_far_field", "disk_far_field_matrix",
     "NoiseModel", "ApertureMask", "ImagingGrid",
     "add_noise", "apply_mask", "phi_z", "w_ip", "w_norm", "evaluate_grid",
-    "IdentityResidualReport", "check_funk_hecke", "check_operator_identity",
+    "CheckRecord", "check_funk_hecke", "check_operator_identity",
     "check_decay_slope", "check_equivalence_chain", "reconstruction_overlap",
     "__version__",
 ]

@@ -7,12 +7,12 @@ from plate_echo.forward import FarFieldMatrix, assemble_far_field_matrix, unifor
 from plate_echo.geometry import make_curve
 from plate_echo.imaging import ImagingGrid, indicator_values
 from plate_echo.verify import (
+    CheckRecord,
     check_decay_slope,
     check_equivalence_chain,
     check_funk_hecke,
     check_operator_identity,
     reconstruction_overlap,
-    report_line,
 )
 
 K = 4.0
@@ -45,12 +45,13 @@ class TestOperatorIdentity:
         ff = FarFieldMatrix(k=K, directions=uniform_directions(8),
                             entries=np.zeros((8, 8), complex))
         rep = check_operator_identity(ff)
-        assert rep.degenerate and not rep.passed
+        assert np.isnan(rep.value) and not rep.passed
+        assert rep.line() == "check=operator_identity shape=- k=4 N=8 value=nan tol=0.01 pass=0"
 
     def test_oracle_path(self, ff_oracle):
         rep = check_operator_identity(ff_oracle, tolerance=1e-6)
         assert rep.passed
-        assert rep.residual < 1e-6
+        assert rep.value < 1e-6
 
     def test_bie_star(self, ff_star):
         rep = check_operator_identity(ff_star, tolerance=1e-2)
@@ -58,8 +59,8 @@ class TestOperatorIdentity:
 
     def test_both_disk_paths_satisfy_identity(self, ff_disk, ff_oracle):
         # integral-equation path and mode-matching path agree on the residual
-        assert check_operator_identity(ff_disk).residual < 1e-6
-        assert check_operator_identity(ff_oracle).residual < 1e-6
+        assert check_operator_identity(ff_disk).value < 1e-6
+        assert check_operator_identity(ff_oracle).value < 1e-6
 
     def test_residual_sweep_never_grows_past_plateau(self, ff_star, ff_star_256,
                                                      ff_peanut, ff_peanut_256):
@@ -69,16 +70,16 @@ class TestOperatorIdentity:
         star = make_curve("star")
         peanut = make_curve("peanut")
         seq_star = [
-            check_operator_identity(assemble_far_field_matrix(star, K, 64, 64)).residual,
-            check_operator_identity(ff_star).residual,
-            check_operator_identity(ff_star_256).residual,
-            check_operator_identity(assemble_far_field_matrix(star, K, 64, 512)).residual,
+            check_operator_identity(assemble_far_field_matrix(star, K, 64, 64)).value,
+            check_operator_identity(ff_star).value,
+            check_operator_identity(ff_star_256).value,
+            check_operator_identity(assemble_far_field_matrix(star, K, 64, 512)).value,
         ]
         seq_peanut = [
-            check_operator_identity(assemble_far_field_matrix(peanut, K, 64, 64)).residual,
-            check_operator_identity(ff_peanut).residual,
-            check_operator_identity(ff_peanut_256).residual,
-            check_operator_identity(assemble_far_field_matrix(peanut, K, 64, 512)).residual,
+            check_operator_identity(assemble_far_field_matrix(peanut, K, 64, 64)).value,
+            check_operator_identity(ff_peanut).value,
+            check_operator_identity(ff_peanut_256).value,
+            check_operator_identity(assemble_far_field_matrix(peanut, K, 64, 512)).value,
         ]
         for seq in (seq_star, seq_peanut):
             for coarse, fine in zip(seq, seq[1:]):
@@ -89,7 +90,7 @@ class TestOperatorIdentity:
         floor = 1e-9
         curve = make_curve(kind)
         seq = [
-            check_operator_identity(assemble_far_field_matrix(curve, K, 64, m)).residual
+            check_operator_identity(assemble_far_field_matrix(curve, K, 64, m)).value
             for m in (64, 128, 256)
         ]
         for coarse, fine in zip(seq, seq[1:]):
@@ -100,7 +101,11 @@ class TestOperatorIdentity:
         line = rep.line()
         assert line.startswith("check=operator_identity shape=star k=4 N=64 value=")
         assert "pass=1" in line
-        assert report_line("x", "", 4.0, 8, 1.0, 2.0, True).split()[1] == "shape=-"
+        # CheckRecord alone decides pass= and formats the line
+        assert CheckRecord("x", "", 12.5, 8, 0.0123456789, 0.4).line() == (
+            "check=x shape=- k=12.5 N=8 value=1.234568e-02 tol=0.4 pass=1")
+        assert CheckRecord("x", "-", 4.0, 64, 1e-2, 1e-2).passed
+        assert not CheckRecord("x", "-", 4.0, 64, float("nan"), 1e-2).passed
 
 
 class TestEquivalenceChain:
