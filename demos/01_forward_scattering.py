@@ -18,7 +18,8 @@ print(f"shape: {star.kind}, params {star.params}, diameter {star.diameter():.3f}
 
 # one discretization, assembly and factorization, reused by every solve below
 solver = ScatteringSolver(star, k, n_nodes=128)
-print(f"system: {solver.system.shape[0]}x{solver.system.shape[1]} complex, dense")
+m = 2 * solver.disc.n_nodes
+print(f"system: {m}x{m} dense, left half complex, right half real")
 
 d = np.array([1.0, 0.0])
 phi1, phi2 = solver.solve(d)

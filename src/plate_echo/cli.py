@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("delta must lie in [0, 1)")
         if len(self.extent) != 4:
             raise ConfigError("extent needs four values: x_min, x_max, y_min, y_max")
+        if not (self.extent[0] < self.extent[1] and self.extent[2] < self.extent[3]):
+            raise ConfigError("extent needs x_min < x_max and y_min < y_max")
         if len(self.resolution) != 2 or self.resolution[0] < 2 or self.resolution[1] < 2:
             raise ConfigError("grid resolution must be two values >= 2")
         if self.seed < 0:
@@ -152,8 +154,10 @@ def _parse_indices(text: str) -> tuple:
     out = []
     for chunk in text.replace(",", " ").split():
         if "-" in chunk:
-            a, b = chunk.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
+            a, b = map(int, chunk.split("-", 1))
+            if b < a:
+                raise ValueError(f"index range {chunk} ends below its start")
+            out.extend(range(a, b + 1))
         else:
             out.append(int(chunk))
     return tuple(out)

@@ -127,9 +127,14 @@ def _maue_product(X):
     m = X.shape[0]
     kappa = np.fft.fftfreq(m, 1.0 / m)
     kappa[m // 2] = 0.0
-    spectrum = np.fft.fft2(X)
-    spectrum *= np.outer(kappa, kappa)
-    return np.fft.ifft2(spectrum)
+    # fft2 and ifft2 axis by axis, last axis first as they do, in one buffer
+    Y = X.copy()
+    np.fft.fft(Y, axis=1, out=Y)
+    np.fft.fft(Y, axis=0, out=Y)
+    Y *= np.outer(kappa, kappa)
+    np.fft.ifft(Y, axis=1, out=Y)
+    np.fft.ifft(Y, axis=0, out=Y)
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +173,8 @@ def _pair_geometry(disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: 
     return k * r, lsin, R[(i[:, None] - j[None, :]) % m2], q_src, geo
 
 
-def _fill_entries(A, disc, k, rows, cols, geometry, kernels):
-    """Write the off-diagonal entries of the four blocks at node pairs rows x cols into A.
+def _fill_entries(left, right, disc, k, rows, cols, geometry, kernels):
+    """Write the off-diagonal entries of the four blocks at node pairs rows x cols.
 
     geometry is _pair_geometry's output after k r. kernels are J_0, Y_0, J_1,
     Y_1, I_0, K_0, I_1, K_1 of k r, read only: the mirrored block passes the
@@ -179,8 +184,7 @@ def _fill_entries(A, disc, k, rows, cols, geometry, kernels):
     w = np.pi / disc.half
     lsin, Rlog, q_src, geo = geometry
     J0, Y0, J1, Y1, I0, K0, I1, K1 = kernels
-    lo_r, lo_c = slice(rows.start + m2, rows.stop + m2), slice(cols.start + m2, cols.stop + m2)
-    Are, Aim = A.real, A.imag
+    lo_r = slice(rows.start + m2, rows.stop + m2)
     speed = disc.speed[cols]
 
     def split(out, X1, X):
@@ -195,41 +199,43 @@ def _fill_entries(A, disc, k, rows, cols, geometry, kernels):
     Jq = J1 * q_src
     L = Y1 * (-0.5 * k)
     L *= q_src
-    split(Are[rows, cols], -(k / (2.0 * np.pi)) * Jq, L)
-    np.multiply(Jq, 0.5 * k * w, out=Aim[rows, cols])
+    split(left.real[rows, cols], -(k / (2.0 * np.pi)) * Jq, L)
+    np.multiply(Jq, 0.5 * k * w, out=left.imag[rows, cols])
 
     # --- block (1,2): modified-Helmholtz single layer (real) -----------------
     M1 = I0 * -(1.0 / (2.0 * np.pi))
     M1 *= speed
     M = K0 * (1.0 / np.pi)
     M *= speed
-    split(Are[rows, lo_c], M1, M)
+    split(right[rows, cols], M1, M)
 
     # --- block (2,2): modified-Helmholtz adjoint double layer - I (real) -----
     P1 = I1 * -(k / (2.0 * np.pi))
     P1 *= geo
     P = K1 * -(k / np.pi)
     P *= geo
-    split(Are[lo_r, lo_c], P1, P)
+    split(right[lo_r, cols], P1, P)
 
     # --- block (2,1), first A_phi: the split of G = -Y_0/4 + i J_0/4 ---------
     G = Y0 * -0.25
-    split(Are[lo_r, cols], -(1.0 / (4.0 * np.pi)) * J0, G)
-    np.multiply(J0, 0.25 * w, out=Aim[lo_r, cols])
+    split(left.real[lo_r, cols], -(1.0 / (4.0 * np.pi)) * J0, G)
+    np.multiply(J0, 0.25 * w, out=left.imag[lo_r, cols])
 
 
-def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
-    """Dense Nystrom matrix of the 2x2 block operator (4n x 4n).
+def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nystrom matrix of the 2x2 block operator as its column halves (left, right).
+
+    left is the complex [A11; A21], right the real [A12; A22] (S~ and K~' - I
+    are real), each 2 n_nodes x n_nodes: np.hstack((left, right)) is 4n x 4n.
 
     The system is built in row blocks [a:b] of the nodes. Each block
     evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on its
     upper trapezoid [a:b, a:] and fills those entries of all four blocks; the
     mirrored block [b:, a:b] takes the same kernel values transposed and its
     own geometry. So the kernels are evaluated once per symmetric node pair,
-    and besides the result only the Maue product's FFT buffers are full size.
-    S~ and K~' - I are real, and the Helmholtz blocks are split into real and
-    imaginary parts, so every block is built in real arithmetic straight into
-    the result.
+    and besides the result only the Maue product's FFT buffer is full size.
+    The Helmholtz blocks are split into real and imaginary parts, so every
+    block is built in real arithmetic straight into the result.
     """
     if k <= 0:
         raise ValueError("assemble_system requires k > 0")
@@ -240,19 +246,18 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
     # bounding-box diagonal of the nodes: the curve's size without a pairwise scan
     scale = max(float(np.hypot(*np.ptp(disc.x, axis=0))), 1e-30)
 
-    A = np.empty((2 * m2, 2 * m2), dtype=complex)
-    Are, Aim = A.real, A.imag
-    Aim[:, m2:] = 0.0
+    left = np.empty((2 * m2, m2), dtype=complex)
+    right = np.empty((2 * m2, m2))
     step = -(-m2 // KERNEL_ROW_BLOCKS)
     for a in range(0, m2, step):
         b = min(a + step, m2)
         kr, *upper = _pair_geometry(disc, k, R, slice(a, b), slice(a, m2), scale)
         kernels = [bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr),
                    bessel_i(0, kr), bessel_k(0, kr), bessel_i(1, kr), bessel_k(1, kr)]
-        _fill_entries(A, disc, k, slice(a, b), slice(a, m2), upper, kernels)
+        _fill_entries(left, right, disc, k, slice(a, b), slice(a, m2), upper, kernels)
         if b < m2:
             _, *lower = _pair_geometry(disc, k, R, slice(b, m2), slice(a, b), scale)
-            _fill_entries(A, disc, k, slice(b, m2), slice(a, b), lower,
+            _fill_entries(left, right, disc, k, slice(b, m2), slice(a, b), lower,
                           [K[:, b - a:].T for K in kernels])
 
     # --- diagonals of the splits, R_0 diag1 + (pi/n) diag2, and the +-1 -------
@@ -261,18 +266,18 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
     low = diag + m2
     curvature = disc.curvature_term / (2.0 * np.pi) * w
     log_speed = np.log(0.5 * k * speed) + EULER_GAMMA
-    Are[diag, diag] = curvature + 1.0
-    Aim[diag, diag] = 0.0
-    Are[diag, low] = (R[0] * (-(1.0 / (2.0 * np.pi)) * speed)
-                      + (-(1.0 / np.pi) * log_speed * speed) * w)
-    Are[low, low] = curvature - 1.0
-    Are[low, diag] = R[0] * -(1.0 / (4.0 * np.pi)) + (-(1.0 / (2.0 * np.pi)) * log_speed) * w
-    Aim[low, diag] = 0.25 * w
+    left.real[diag, diag] = curvature + 1.0
+    left.imag[diag, diag] = 0.0
+    right[diag, diag] = (R[0] * (-(1.0 / (2.0 * np.pi)) * speed)
+                         + (-(1.0 / np.pi) * log_speed * speed) * w)
+    right[low, diag] = curvature - 1.0
+    left.real[low, diag] = R[0] * -(1.0 / (4.0 * np.pi)) + (-(1.0 / (2.0 * np.pi)) * log_speed) * w
+    left.imag[low, diag] = 0.25 * w
 
     # --- block (2,1): hypersingular block through the Maue split -------------
     # A_nu = A_phi o (nu_i . nu_j |x'_j|), that factor's diagonal being |x'_i|;
     # A_phi sits in the block until DAD is taken from it
-    block_T = A[m2:, :m2]
+    block_T = left[m2:]
     DAD = _maue_product(block_T)
     nu = disc.normal
     nunu = nu @ nu.T
@@ -282,7 +287,7 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> np.ndarray:
     block_T *= nunu
     DAD *= (2.0 / speed)[:, None]
     block_T += DAD
-    return A
+    return left, right
 
 
 def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
@@ -309,28 +314,25 @@ class ScatteringSolver:
     which costs one real and one complex n x n LU instead of the complex LU of
     the whole 2n x 2n system. Every call to `solve` or `far_field_matrix`
     reuses the factorization, so any number of direction sets cost one
-    assembly, and each solve is checked against the full system.
+    assembly, and each solve is checked against the full system. The system
+    is held once, as `left` = [A11; A21] (complex) and `right` = [A12; A22].
     """
 
     def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
         self.k = float(k)
         self.disc = discretize(curve, n_nodes, offset=node_offset)
-        self.system = assemble_system(self.disc, self.k)
-        self.system_norm = np.linalg.norm(self.system)
-        A = self.system
+        self.left, self.right = assemble_system(self.disc, self.k)
+        self.system_norm = np.hypot(np.linalg.norm(self.left), np.linalg.norm(self.right))
         m2 = n_nodes
-        self.lu22 = lu_factor(A[m2:, m2:].real)
+        self.lu22 = lu_factor(self.right[m2:])
         # W = A12 A22^-1 from A22^T W^T = A12^T
-        self.W = lu_solve(self.lu22, A[:m2, m2:].real.T, trans=1).T
+        self.W = lu_solve(self.lu22, self.right[:m2].T, trans=1).T
         # S = A11 - W A21: W times the interleaved (re, im) columns of A21 is one real GEMM.
         # S is Fortran-ordered so LAPACK factors it in place; non-finite entries (a
         # singular A22) flow on to the finiteness check in solve.
-        S = np.array(A[:m2, :m2], order="F")
-        S -= (self.W @ A[m2:, :m2].view(float)).view(complex)
+        S = np.array(self.left[:m2], order="F")
+        S -= (self.W @ self.left[m2:].view(float)).view(complex)
         self.lu_schur = lu_factor(S, overwrite_a=True, check_finite=False)
-        # the real right half [A12; A22], contiguous for the real GEMMs of every check;
-        # copied last, so it is never held together with the GEMM's product above
-        self.right = np.ascontiguousarray(A[:, m2:].real)
 
     def solve(self, directions):
         """Densities (phi1, phi2) for one incident direction or an (M, 2) array of them.
@@ -345,7 +347,7 @@ class ScatteringSolver:
         # complex right-hand sides meet the real W and A22 as interleaved (re, im) real columns
         Wb2 = (self.W @ b2.view(float)).view(complex)
         phi1[...] = lu_solve(self.lu_schur, b1 - Wb2, overwrite_b=True, check_finite=False)
-        r2 = b2 - self.system[m2:, :m2] @ phi1
+        r2 = b2 - self.left[m2:] @ phi1
         phi2.view(float)[...] = lu_solve(self.lu22, r2.view(float), check_finite=False)
         resid = self._backward_error(sols, rhs, r2)
         if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
@@ -366,7 +368,7 @@ class ScatteringSolver:
         m2 = self.disc.n_nodes
         resid = (self.right @ sols[m2:].view(float)).view(complex)
         top = resid[:m2]
-        top += self.system[:m2, :m2] @ sols[:m2]
+        top += self.left[:m2] @ sols[:m2]
         top -= rhs[:m2]
         resid[m2:] -= r2
         num = np.linalg.norm(resid)

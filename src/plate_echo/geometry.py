@@ -20,7 +20,7 @@ from configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,14 +42,12 @@ class ParametricCurve:
 
     kind: str
     params: tuple
-    offset: tuple = (0.0, 0.0)
     _pos: Callable = field(repr=False, compare=False, default=None)
     _vel: Callable = field(repr=False, compare=False, default=None)
     _acc: Callable = field(repr=False, compare=False, default=None)
 
     def position(self, t):
-        p = self._pos(np.asarray(t, dtype=float))
-        return p + np.asarray(self.offset)
+        return self._pos(np.asarray(t, dtype=float))
 
     def velocity(self, t):
         return self._vel(np.asarray(t, dtype=float))
@@ -57,14 +55,9 @@ class ParametricCurve:
     def acceleration(self, t):
         return self._acc(np.asarray(t, dtype=float))
 
-    def translate(self, v) -> "ParametricCurve":
-        """Same curve rigidly shifted by v (derivatives unchanged)."""
-        off = (self.offset[0] + float(v[0]), self.offset[1] + float(v[1]))
-        return replace(self, offset=off)
-
     def contains(self, points) -> np.ndarray:
         """Boolean mask of points strictly inside the curve."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(self.offset)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind in ("circle", "ellipse", "peanut", "star"):
             r = np.hypot(pts[:, 0], pts[:, 1])
             th = np.arctan2(pts[:, 1], pts[:, 0])

@@ -125,6 +125,12 @@ def test_config_syntax_error_names_the_file(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+# a reversed mask range parsed to an empty mask, a reversed extent flipped the
+# PGM and a flat one repeated one x column; each used to be written with exit 0
+REVERSED_RANGES = ("[mask]\nrows = 16-1\n", "[imaging]\nextent = -4, 4, 4, -4\n",
+                   "[imaging]\nextent = 1, 1, -4, 4\n")
+
+
 def test_config_validation_errors():
     with pytest.raises(Exception):
         parse_config_text("[experiment]\nk = 0\n")
@@ -136,9 +142,22 @@ def test_config_validation_errors():
         parse_config_text("[mask]\nrows = 99\n")
     for text in ("[experiment]\nk = nan\n", "[experiment]\nk = inf\n",
                  "[imaging]\nrho = nan\n", "[imaging]\nrho = inf\n",
-                 "[imaging]\nextent = nan, 4, -4, 4\n", "[imaging]\nextent = -4, 4, -inf, 4\n"):
+                 "[imaging]\nextent = nan, 4, -4, 4\n", "[imaging]\nextent = -4, 4, -inf, 4\n",
+                 *REVERSED_RANGES):
         with pytest.raises(ConfigError):
             parse_config_text(text)
+
+
+def test_image_refuses_reversed_ranges(tmp_path, ff_star):
+    from plate_echo.forward import save_farfield
+
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    cfg = tmp_path / "reversed.ini"
+    for text in REVERSED_RANGES:
+        cfg.write_text(text + "[output]\nwrite_pgm = true\n")
+        assert main(["image", str(star), "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert not list(tmp_path.glob("grid_*"))
 
 
 def test_forward_circle_is_circulant(tmp_path, capsys):

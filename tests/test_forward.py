@@ -45,8 +45,8 @@ CIRCLE_MODES = [-6, -3, 0, 1, 2, 4, 8]
 
 def _circle_blocks(m2):
     disc = discretize(make_curve("circle", (CIRCLE_A,)), m2)
-    A = assemble_system(disc, K)
-    return disc, A[:m2, :m2], A[:m2, m2:], A[m2:, :m2], A[m2:, m2:]
+    left, right = assemble_system(disc, K)
+    return disc, left[:m2], right[:m2], left[m2:], right[m2:]
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_row_blocks_leave_the_system_bit_identical(kind, m2, monkeypatch):
     systems = []
     for blocks in (1, forward.KERNEL_ROW_BLOCKS, m2):
         monkeypatch.setattr(forward, "KERNEL_ROW_BLOCKS", blocks)
-        systems.append(assemble_system(disc, K).tobytes())
+        systems.append([half.tobytes() for half in assemble_system(disc, K)])
     assert systems[0] == systems[1] == systems[2]
 
 
@@ -146,23 +146,37 @@ def test_assembly_peak_memory_is_a_small_multiple_of_the_system():
     disc = discretize(make_curve("star"), 512)
     tracemalloc.start()
     try:
-        A = assemble_system(disc, K)
+        left, right = assemble_system(disc, K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * A.nbytes
+    assert peak <= 1.6 * (left.nbytes + right.nbytes)
+
+
+def test_solver_holds_each_block_once():
+    # [A11; A21] complex, [A12; A22] real, S complex, A22's LU and W real:
+    # 32 + 16 + 16 + 8 + 8 = 80 bytes per m2^2
+    m2 = 512
+    tracemalloc.start()
+    try:
+        solver = ScatteringSolver(make_curve("star"), K, m2)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(solver, "system")
+    assert current <= 84 * m2**2
 
 
 def test_modified_helmholtz_blocks_are_real():
     m2 = 64
-    A = assemble_system(discretize(make_curve("star"), m2), K)
-    assert not A[:m2, m2:].imag.any()
-    assert not A[m2:, m2:].imag.any()
+    left, right = assemble_system(discretize(make_curve("star"), m2), K)
+    assert left.dtype == np.complex128 and left.shape == (2 * m2, m2)
+    assert right.dtype == np.float64 and right.shape == (2 * m2, m2)
 
 
 def test_system_entries_finite_bounded_nonsymmetric(ff_star):
     disc = discretize(make_curve("star"), 128)
-    A = assemble_system(disc, K)
+    A = np.hstack(assemble_system(disc, K))
     assert np.all(np.isfinite(A))
     assert np.linalg.norm(A, ord=2) < 1e3
     assert not np.allclose(A, A.T)
@@ -194,7 +208,7 @@ def test_coincident_nodes_rejected():
 
 def test_solve_linearity():
     disc = discretize(make_curve("circle"), 64)
-    A = assemble_system(disc, K)
+    A = np.hstack(assemble_system(disc, K))
     rhs = incident_trace(disc, K, (1.0, 0.0))
     x1 = np.linalg.solve(A, rhs)
     x2 = np.linalg.solve(A, 3.5 * rhs)
@@ -446,10 +460,12 @@ def test_other_shapes_satisfy_identity():
 def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
     # the Schur-complement solve against a dense solve of the assembled system
     solver = ScatteringSolver(make_curve(kind), K, m2)
-    assert solver.system_norm == np.linalg.norm(solver.system)
+    system = np.hstack((solver.left, solver.right))
+    # the norm is taken over the two halves, so it matches the dense one to rounding
+    assert solver.system_norm == pytest.approx(np.linalg.norm(system), rel=1e-12)
     dirs = uniform_directions(64)
     phi1, phi2 = solver.solve(dirs)
-    ref = np.linalg.solve(solver.system, incident_trace(solver.disc, K, dirs))
+    ref = np.linalg.solve(system, incident_trace(solver.disc, K, dirs))
     dens = np.concatenate([phi1, phi2])
     assert np.abs(dens - ref).max() / np.abs(ref).max() < 1e-9
     F = solver.far_field_matrix(64).entries
@@ -466,10 +482,11 @@ def test_backward_error_matches_dense_residual(kind):
     m2 = solver.disc.n_nodes
     rhs = incident_trace(solver.disc, K, uniform_directions(8))
     rng = np.random.default_rng(2)
-    sols = np.linalg.solve(solver.system, rhs)
+    system = np.hstack((solver.left, solver.right))
+    sols = np.linalg.solve(system, rhs)
     sols += 1e-6 * (rng.standard_normal(sols.shape) + 1j * rng.standard_normal(sols.shape))
-    r2 = rhs[m2:] - solver.system[m2:, :m2] @ sols[:m2]
-    dense = np.linalg.norm(solver.system @ sols - rhs) / (
+    r2 = rhs[m2:] - system[m2:, :m2] @ sols[:m2]
+    dense = np.linalg.norm(system @ sols - rhs) / (
         solver.system_norm * np.linalg.norm(sols) + np.linalg.norm(rhs))
     assert solver._backward_error(sols, rhs, r2) == pytest.approx(dense, rel=1e-8)
 
@@ -505,10 +522,10 @@ def test_singular_modified_helmholtz_block_raises(edit, monkeypatch):
     import plate_echo.forward as forward
 
     def singular(disc, k):
-        A = assemble_system(disc, k)
+        left, right = assemble_system(disc, k)
         m2 = disc.n_nodes
-        A[m2 + 5, m2:] = 0.0 if edit == "zero row" else A[m2 + 6, m2:]
-        return A
+        right[m2 + 5] = 0.0 if edit == "zero row" else right[m2 + 6]
+        return left, right
 
     monkeypatch.setattr(forward, "assemble_system", singular)
     with warnings.catch_warnings():

@@ -118,17 +118,6 @@ def test_contains_radial_and_kite():
     assert not kite.contains(np.array([[2.0, 0.0]]))[0]
 
 
-def test_translate_shifts_rigidly():
-    c = make_curve("peanut")
-    v = (0.7, -0.4)
-    ct = c.translate(v)
-    t = np.linspace(0, 2 * np.pi, 17)
-    assert np.allclose(ct.position(t), c.position(t) + np.array(v))
-    assert np.allclose(ct.velocity(t), c.velocity(t))
-    assert ct.contains(np.array([[0.7, -0.4]]))[0]
-    assert not ct.contains(np.array([[-1.4, 0.8]]))[0]
-
-
 def test_closure_periodicity():
     for c in ALL_SHAPES:
         assert np.allclose(c.position(0.0), c.position(2 * np.pi), atol=1e-12)
