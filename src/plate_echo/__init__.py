@@ -20,8 +20,7 @@ _EXPORTS = {
         ("forward", ("BoundaryDiscretization", "ScatteringSolver", "discretize",
                      "assemble_system", "assemble_far_field_matrix")),
         ("farfield", ("FarFieldMatrix", "save_farfield", "load_farfield")),
-        ("oracle", ("DiskScatteringSolution", "solve_disk", "disk_far_field",
-                    "disk_far_field_matrix")),
+        ("oracle", ("disk_far_field_matrix",)),
         ("imaging", ("NoiseModel", "ApertureMask", "ImagingGrid", "add_noise", "apply_mask",
                      "phi_z", "w_ip", "w_norm", "evaluate_grid")),
         ("verify", ("CheckRecord", "check_funk_hecke", "check_operator_identity",

@@ -8,10 +8,10 @@ Commands
     plate-echo oracle   [--config CFG | --preset NAME] [--out DIR]
 
 Configuration is flat INI-style key=value text with section headers (see
-ExperimentConfig / config_text); every key has a default reproducing the
-benchmark setup (wavenumber 4, 64 directions, 150x150 grid on [-4,4]^2,
-rho=4 inner-product indicator, no noise). Presets: 'paper-star',
-'paper-peanut'.
+ExperimentConfig / CONFIG_FIELDS); an unknown section or key is refused.
+Every key has a default reproducing the benchmark setup (wavenumber 4, 64
+directions, 150x150 grid on [-4,4]^2, rho=4 inner-product indicator, no
+noise). Presets: 'paper-star', 'paper-peanut'.
 
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 degenerate output,
 5 verification failure.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import os
 import sys
 import tempfile
@@ -116,7 +115,7 @@ class ExperimentConfig:
             curve = self.curve()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # pin the effective shape parameters so serialization round-trips
+        # pin the effective shape parameters: the commands read them (the circle's radius)
         return replace(self, shape_params=curve.params)
 
     def curve(self):
@@ -133,23 +132,8 @@ PRESETS = {
 
 
 # ---------------------------------------------------------------------------
-# config file round trip
+# config files
 # ---------------------------------------------------------------------------
-def _format_indices(idx: tuple) -> str:
-    if not idx:
-        return ""
-    runs = []
-    start = prev = idx[0]
-    for v in idx[1:]:
-        if v == prev + 1:
-            prev = v
-            continue
-        runs.append((start, prev))
-        start = prev = v
-    runs.append((start, prev))
-    return ", ".join(f"{a}-{b}" if b > a else f"{a}" for a, b in runs)
-
-
 def _parse_indices(text: str) -> tuple:
     out = []
     for chunk in text.replace(",", " ").split():
@@ -174,48 +158,27 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"Not a boolean: {text}") from None
 
 
-def _format_float(v) -> str:
-    return f"{v:.17g}"
-
-
-def _format_values(fmt):
-    return lambda values: ", ".join(fmt(v) for v in values)
-
-
-# One row per config key: (section, key, ExperimentConfig attribute, parse,
-# format). parse_config_text and config_text both walk this table, in this
-# order. A parse that returns None keeps the base value (an empty
+# One row per config key: (section, key, ExperimentConfig attribute, parse).
+# parse_config_text walks this table, in this order, and refuses any section
+# or key not in it. A parse that returns None keeps the base value (an empty
 # shape_params means the shape's defaults).
 CONFIG_FIELDS = (
-    ("experiment", "shape", "shape_kind", str.strip, str),
-    ("experiment", "shape_params", "shape_params",
-     lambda text: _parse_values(float)(text) or None, _format_values(_format_float)),
-    ("experiment", "k", "k", float, _format_float),
-    ("experiment", "n_dirs", "n_dirs", int, str),
-    ("experiment", "quad_nodes", "quad_nodes", int, str),
-    ("imaging", "which", "which", str.strip, str),
-    ("imaging", "rho", "rho", float, _format_float),
-    ("imaging", "extent", "extent", _parse_values(float), _format_values(_format_float)),
-    ("imaging", "resolution", "resolution", _parse_values(int), _format_values(str)),
-    ("noise", "delta", "delta", float, _format_float),
-    ("noise", "seed", "seed", int, str),
-    ("mask", "rows", "mask_rows", _parse_indices, _format_indices),
-    ("mask", "cols", "mask_cols", _parse_indices, _format_indices),
-    ("output", "dir", "out_dir", str.strip, str),
-    ("output", "write_pgm", "write_pgm", _parse_bool, lambda v: "true" if v else "false"),
+    ("experiment", "shape", "shape_kind", str.strip),
+    ("experiment", "shape_params", "shape_params", lambda text: _parse_values(float)(text) or None),
+    ("experiment", "k", "k", float),
+    ("experiment", "n_dirs", "n_dirs", int),
+    ("experiment", "quad_nodes", "quad_nodes", int),
+    ("imaging", "which", "which", str.strip),
+    ("imaging", "rho", "rho", float),
+    ("imaging", "extent", "extent", _parse_values(float)),
+    ("imaging", "resolution", "resolution", _parse_values(int)),
+    ("noise", "delta", "delta", float),
+    ("noise", "seed", "seed", int),
+    ("mask", "rows", "mask_rows", _parse_indices),
+    ("mask", "cols", "mask_cols", _parse_indices),
+    ("output", "dir", "out_dir", str.strip),
+    ("output", "write_pgm", "write_pgm", _parse_bool),
 )
-
-
-def config_text(cfg: ExperimentConfig) -> str:
-    """Serialize the effective configuration (re-readable by parse_config_text)."""
-    if cfg.shape_params is None:
-        cfg = replace(cfg, shape_params=cfg.curve().params)
-    sections = [
-        "\n".join([f"[{section}]"] + [f"{key} = {fmt(getattr(cfg, attr))}"
-                                       for _, key, attr, _, fmt in rows])
-        for section, rows in itertools.groupby(CONFIG_FIELDS, key=lambda row: row[0])
-    ]
-    return "\n\n".join(sections) + "\n"
 
 
 def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -238,9 +201,18 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None,
     except configparser.Error as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
+    known = {row[:2] for row in CONFIG_FIELDS}
+    sections = {section for section, _ in known} | {parser.default_section}
+    for section, keys in parser.items():
+        if section not in sections:
+            raise ConfigError(f"unknown config section [{section}] in {source}")
+        for key in keys:
+            if (section, key) not in known:
+                raise ConfigError(f"unknown config key {key!r} in section [{section}] of {source}")
+
     updates = {}
     try:
-        for section, key, attr, parse, _ in CONFIG_FIELDS:
+        for section, key, attr, parse in CONFIG_FIELDS:
             if parser.has_option(section, key):
                 value = parse(parser.get(section, key))
                 if value is not None:
@@ -329,6 +301,8 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
 
 def cmd_verify(cfg: ExperimentConfig) -> None:
     """Run the verification suite; prints one record per check, raises if any fails."""
+    if cfg.n_dirs < 8:
+        raise ConfigError("verify needs n_dirs >= 8 for its circle-average checks")
     from .forward import ScatteringSolver, assemble_far_field_matrix
     from .verify import (
         CheckRecord,

@@ -34,19 +34,10 @@ reaches the far field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .farfield import FarFieldMatrix, uniform_directions
-from .specfun import (
-    bessel_j,
-    bessel_k,
-    bessel_k_deriv,
-    bessel_y,
-    hankel1,
-    hankel1_deriv,
-)
+from .specfun import bessel_k, bessel_k_deriv, hankel1, hankel1_deriv
 
 
 MODE_TAIL_TOL = 1e-12
@@ -54,41 +45,17 @@ ORDER_STEP = 4
 MAX_ORDER_STEPS = 16
 
 
-@dataclass(frozen=True)
-class DiskScatteringSolution:
-    """Mode coefficients of the clamped-disk scattering problem.
-
-    a_coef/b_coef hold the Hankel/K-Bessel coefficients for modes
-    n = -order..order (index n + order); reflect[n] = a_n / c_n is the
-    direction-independent mode response shared by all incident directions.
-    """
-
-    radius: float
-    k: float
-    order: int
-    direction: tuple
-    a_coef: np.ndarray
-    b_coef: np.ndarray
-    reflect: np.ndarray
-
-    def modes(self):
-        return np.arange(-self.order, self.order + 1)
-
-
 def _mode_ratios(a: float, k: float, order: int):
     """Direction-independent mode responses (ra_n, rb_n) = (a_n, b_n)/c_n and the mode tail.
 
-    Each cylinder family is evaluated once, over orders -1..order+1, and the
-    derivatives come from the recurrences on neighbouring orders.
+    H, H', K and K' come from specfun at orders 0..order; J and J' are the
+    real parts of H and H'.
     """
     z = k * a
-    m = np.arange(-1, order + 2)
-    Jm, Km = bessel_j(m, z), bessel_k(m, z)
-    Hm = Jm + 1j * bessel_y(m, z)
-    J, H, K = Jm[1:-1], Hm[1:-1], Km[1:-1]
-    Jp = 0.5 * (Jm[:-2] - Jm[2:])
-    Hp = 0.5 * (Hm[:-2] - Hm[2:])
-    Kp = -0.5 * (Km[:-2] + Km[2:])
+    n = np.arange(order + 1)
+    H, Hp = hankel1(n, z), hankel1_deriv(n, z)
+    K, Kp = bessel_k(n, z), bessel_k_deriv(n, z)
+    J, Jp = H.real, Hp.real
     det = H * Kp - Hp * K
     if np.any(np.abs(det) == 0.0) or np.any(~np.isfinite(det)):
         raise RuntimeError("singular clamped-disk mode system (determinant underflow)")
@@ -99,75 +66,48 @@ def _mode_ratios(a: float, k: float, order: int):
     # Under n -> -n the J/H factors flip sign like (-1)^n while K does not:
     # the ra numerator and the determinant flip coherently (ra even), but the
     # rb numerator flips twice, so rb picks up (-1)^n.
-    sign = (-1.0) ** np.arange(order + 1)
+    sign = (-1.0) ** n
     full = np.concatenate([ra[:0:-1], ra])
     fullb = np.concatenate([(sign * rb)[:0:-1], rb])
     return full, fullb, tail
 
 
-def _converged_modes(a: float, k: float, order: int | None):
+def _converged_modes(a: float, k: float):
     """(order, ra, rb) for the disk, raising unless the mode tail is below MODE_TAIL_TOL.
 
-    Without an order, it starts at ceil(ka) + 24 and grows by ORDER_STEP until
-    the tail converges, giving up after MAX_ORDER_STEPS steps; the ratios of
-    the last order tried are the ones returned.
+    The order starts at ceil(ka) + 24 and grows by ORDER_STEP until the tail
+    converges, giving up after MAX_ORDER_STEPS steps.
     """
     if a <= 0 or k <= 0:
         raise ValueError("the disk problem requires a > 0 and k > 0")
-    if order is None:
-        order = int(np.ceil(k * a)) + 24
-        for _ in range(MAX_ORDER_STEPS):
-            ra, rb, tail = _mode_ratios(a, k, order)
-            if tail <= MODE_TAIL_TOL:
-                return order, ra, rb
-            order += ORDER_STEP
-    elif order < int(np.ceil(k * a)) + 20:
-        raise ValueError("truncation order too small: need order >= ceil(k*a) + 20")
-    ra, rb, tail = _mode_ratios(a, k, order)
-    if tail > MODE_TAIL_TOL:
-        raise RuntimeError(
-            f"mode tail not converged: top-mode boundary contribution {tail:.3e} > {MODE_TAIL_TOL:g}"
-        )
-    return order, ra, rb
-
-
-def solve_disk(a: float, k: float, order: int, d) -> DiskScatteringSolution:
-    """Solve the clamped-disk problem for incident direction d (unit vector).
-
-    order must be at least ceil(k a) + 20 so the mode tail is negligible;
-    raises if the top retained mode still contributes more than 1e-12 on the
-    boundary.
-    """
-    order, ra, rb = _converged_modes(a, k, order)
-    d = np.asarray(d, dtype=float)
-    theta_d = np.arctan2(d[1], d[0])
-    n = np.arange(-order, order + 1)
-    c = (1j) ** n * np.exp(-1j * n * theta_d)
-    return DiskScatteringSolution(
-        radius=float(a), k=float(k), order=int(order),
-        direction=(float(d[0]), float(d[1])),
-        a_coef=c * ra, b_coef=c * rb, reflect=ra,
+    start = int(np.ceil(k * a)) + 24
+    for order in range(start, start + (MAX_ORDER_STEPS + 1) * ORDER_STEP, ORDER_STEP):
+        ra, rb, tail = _mode_ratios(a, k, order)
+        if tail <= MODE_TAIL_TOL:
+            return order, ra, rb
+    raise RuntimeError(
+        f"mode tail not converged: top-mode boundary contribution {tail:.3e} > {MODE_TAIL_TOL:g}"
     )
 
 
-def scattered_field(sol: DiskScatteringSolution, points, radial_derivative: bool = False):
-    """Evaluate the scattered field (or its radial derivative) at r >= radius."""
+def scattered_field(a: float, k: float, d, points):
+    """Scattered field u and its radial derivative du/dr at |x| >= a, for incident direction d.
+
+    Each cylinder family is one specfun call over all orders and points.
+    """
+    order, ra, rb = _converged_modes(a, k)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
-    if np.any(r < sol.radius * (1 - 1e-12)):
-        raise ValueError("scattered_field is defined for |x| >= radius")
-    th = np.arctan2(pts[:, 1], pts[:, 0])
-    n = sol.modes()
-    out = np.zeros(len(pts), dtype=complex)
-    for idx, m in enumerate(n):
-        if radial_derivative:
-            rad = sol.k * hankel1_deriv(int(m), sol.k * r)
-            radk = sol.k * bessel_k_deriv(int(m), sol.k * r)
-        else:
-            rad = hankel1(int(m), sol.k * r)
-            radk = bessel_k(int(m), sol.k * r)
-        out += (sol.a_coef[idx] * rad + sol.b_coef[idx] * radk) * np.exp(1j * m * th)
-    return out
+    if np.any(r < a * (1 - 1e-12)):
+        raise ValueError("scattered_field is defined for |x| >= a")
+    n = np.arange(-order, order + 1)[:, None]
+    ra, rb = ra[:, None], rb[:, None]
+    # c_n e^{in theta} with c_n = i^n e^{-in theta_d}
+    phase = (1j) ** n * np.exp(1j * n * (np.arctan2(pts[:, 1], pts[:, 0]) - np.arctan2(d[1], d[0])))
+    kr = k * r
+    u = (phase * (ra * hankel1(n, kr) + rb * bessel_k(n, kr))).sum(axis=0)
+    du = (phase * (ra * hankel1_deriv(n, kr) + rb * bessel_k_deriv(n, kr))).sum(axis=0)
+    return u, k * du
 
 
 def _far_field(ra, theta_x, theta_d):
@@ -179,23 +119,14 @@ def _far_field(ra, theta_x, theta_d):
     return (Ux * (-4j * ra)) @ Ud.conj().T
 
 
-def disk_far_field(sol: DiskScatteringSolution, xhat):
-    """Far-field pattern u_inf(xhat, d) of the disk solution."""
-    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    th = np.arctan2(xhat[:, 1], xhat[:, 0])
-    vals = _far_field(sol.reflect, th, [np.arctan2(sol.direction[1], sol.direction[0])])[:, 0]
-    return vals if vals.size > 1 else complex(vals[0])
-
-
-def disk_far_field_matrix(a: float, k: float, n_dirs: int, order: int | None = None) -> FarFieldMatrix:
+def disk_far_field_matrix(a: float, k: float, n_dirs: int) -> FarFieldMatrix:
     """Multi-static far-field matrix of the clamped disk on uniform directions.
 
     Entries u_inf(xhat_i, d_j) for theta_i = 2 pi i / n_dirs. Uses the
     direction-independent mode responses, so one mode solve serves every
-    direction. Without an explicit order, the order starts at ceil(ka) + 24
-    and grows until the mode tail converges.
+    direction.
     """
-    _, ra, _ = _converged_modes(a, k, order)
+    _, ra, _ = _converged_modes(a, k)
     theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     return FarFieldMatrix(
         k=float(k),

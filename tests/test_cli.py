@@ -1,4 +1,4 @@
-"""Command-line driver: config round trip, commands, exit codes."""
+"""Command-line driver: config parsing, commands, exit codes."""
 
 import os
 import subprocess
@@ -19,12 +19,12 @@ from plate_echo.cli import (
     ExperimentConfig,
     PRESETS,
     cmd_forward,
-    config_text,
     main,
     parse_config,
     parse_config_text,
 )
 from plate_echo.forward import load_farfield
+from plate_echo.geometry import make_curve
 
 
 def test_defaults_reproduce_benchmark_setup():
@@ -69,43 +69,16 @@ def test_config_round_trip():
     )
     assert cfg.mask_rows == tuple(range(1, 17))
     assert cfg.mask_cols == (*range(48, 65), 3)
-    again = parse_config_text(config_text(cfg))
-    assert again == cfg
-
-
-def test_default_config_text():
-    assert config_text(ExperimentConfig()) == (
-        "[experiment]\n"
-        "shape = star\n"
-        "shape_params = 1.5, 0.29999999999999999, 4\n"
-        "k = 4\n"
-        "n_dirs = 64\n"
-        "quad_nodes = 128\n"
-        "\n"
-        "[imaging]\n"
-        "which = ip\n"
-        "rho = 4\n"
-        "extent = -4, 4, -4, 4\n"
-        "resolution = 150, 150\n"
-        "\n"
-        "[noise]\n"
-        "delta = 0\n"
-        "seed = 0\n"
-        "\n"
-        "[mask]\n"
-        "rows = \n"
-        "cols = \n"
-        "\n"
-        "[output]\n"
-        "dir = .\n"
-        "write_pgm = false\n"
+    assert cfg == ExperimentConfig(
+        shape_kind="peanut", shape_params=make_curve("peanut").params, k=3.5, quad_nodes=64,
+        which="norm", rho=8.0, resolution=(80, 90), delta=0.1, seed=7,
+        mask_rows=cfg.mask_rows, mask_cols=cfg.mask_cols, out_dir="out", write_pgm=True,
     )
 
 
 def test_percent_in_config_value():
     cfg = parse_config_text("[output]\ndir = a%b\n")
     assert cfg.out_dir == "a%b"
-    assert parse_config_text(config_text(cfg)) == cfg
 
 
 def test_config_path_with_equals_sign(tmp_path):
@@ -131,6 +104,11 @@ REVERSED_RANGES = ("[mask]\nrows = 16-1\n", "[imaging]\nextent = -4, 4, 4, -4\n"
                    "[imaging]\nextent = 1, 1, -4, 4\n")
 
 
+# (config text, the name the error must mention)
+UNKNOWN_KEYS = (("[noise]\ndelat = 0.1\n", "delat"), ("[imagng]\nrho = 2\n", "imagng"),
+                ("[Noise]\n", "Noise"), ("[DEFAULT]\nk = 8\n", "'k'"))
+
+
 def test_config_validation_errors():
     with pytest.raises(Exception):
         parse_config_text("[experiment]\nk = 0\n")
@@ -146,6 +124,23 @@ def test_config_validation_errors():
                  *REVERSED_RANGES):
         with pytest.raises(ConfigError):
             parse_config_text(text)
+    # a misspelled key or section used to be ignored, leaving the default in force
+    for text, name in UNKNOWN_KEYS:
+        with pytest.raises(ConfigError, match=name):
+            parse_config_text(text)
+
+
+def test_unknown_config_key_writes_nothing(tmp_path, capsys, ff_star):
+    from plate_echo.forward import save_farfield
+
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    cfg = tmp_path / "typo.ini"
+    for text, name in UNKNOWN_KEYS:
+        cfg.write_text(text)
+        assert main(["image", str(star), "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+    assert not list(tmp_path.glob("grid_*"))
 
 
 def test_image_refuses_reversed_ranges(tmp_path, ff_star):
@@ -321,6 +316,21 @@ def test_verify_underresolved_fails(tmp_path):
     cfg = tmp_path / "under.ini"
     cfg.write_text("[experiment]\nquad_nodes = 16\n")
     assert main(["verify", "--config", str(cfg)]) == EXIT_VERIFY
+
+
+def test_verify_too_few_directions_is_config_error(tmp_path, capsys, monkeypatch):
+    # the circle-average checks need n_dirs >= 8; that is refused before any solve
+    import plate_echo.forward as forward
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify assembled a system for a config it must refuse")
+
+    monkeypatch.setattr(forward, "assemble_system", no_solve)
+    cfg = tmp_path / "few.ini"
+    for n_dirs in (4, 7):
+        cfg.write_text(f"[experiment]\nn_dirs = {n_dirs}\n")
+        assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "n_dirs >= 8" in capsys.readouterr().err
 
 
 def test_k_zero_is_config_error(tmp_path):

@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "BoundaryDiscretization", "FarFieldMatrix", "ScatteringSolver",
     "discretize", "assemble_system",
     "assemble_far_field_matrix", "save_farfield", "load_farfield",
-    "DiskScatteringSolution", "solve_disk", "disk_far_field", "disk_far_field_matrix",
+    "disk_far_field_matrix",
     "NoiseModel", "ApertureMask", "ImagingGrid",
     "add_noise", "apply_mask", "phi_z", "w_ip", "w_norm", "evaluate_grid",
     "CheckRecord", "check_funk_hecke", "check_operator_identity",
