@@ -159,7 +159,7 @@ def _parse_bool(text: str) -> bool:
 
 
 # One row per config key: (section, key, ExperimentConfig attribute, parse).
-# parse_config_text walks this table, in this order, and refuses any section
+# parse_config walks this table, in this order, and refuses any section
 # or key not in it. A parse that returns None keeps the base value (an empty
 # shape_params means the shape's defaults).
 CONFIG_FIELDS = (
@@ -183,32 +183,22 @@ CONFIG_FIELDS = (
 
 def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Read an INI config file and parse it on top of base (default: the defaults)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    return parse_config_text(text, base, source=str(path))
-
-
-def parse_config_text(text: str, base: ExperimentConfig | None = None,
-                      source: str = "<string>") -> ExperimentConfig:
-    """Parse INI text on top of base (default: the defaults); source names it in errors."""
     cfg = base if base is not None else ExperimentConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read_string(text, source=source)
-    except configparser.Error as exc:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
     known = {row[:2] for row in CONFIG_FIELDS}
     sections = {section for section, _ in known} | {parser.default_section}
     for section, keys in parser.items():
         if section not in sections:
-            raise ConfigError(f"unknown config section [{section}] in {source}")
+            raise ConfigError(f"unknown config section [{section}] in {path}")
         for key in keys:
             if (section, key) not in known:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}] of {source}")
+                raise ConfigError(f"unknown config key {key!r} in section [{section}] of {path}")
 
     updates = {}
     try:
@@ -227,17 +217,20 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None,
 # atomic output
 # ---------------------------------------------------------------------------
 def _atomic_write(path: str, writer) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
+    """writer(tmp) on a temporary file beside path, then rename; an OSError is a ConfigError."""
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+        os.close(fd)
         writer(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,16 @@ class FarFieldMatrix:
     """Multi-static far-field matrix entry(i,j) = u_inf(xhat_i, d_j)."""
 
     k: float
-    directions: np.ndarray     # (N, 2), theta_i = 2 pi i / N
     entries: np.ndarray        # (N, N) complex
     shape_kind: str = ""
 
     @property
     def n_dirs(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def directions(self) -> np.ndarray:    # (N, 2), theta_i = 2 pi i / N
+        return uniform_directions(self.n_dirs)
 
 
 def uniform_directions(n_dirs: int) -> np.ndarray:
@@ -79,4 +82,4 @@ def load_farfield(path) -> FarFieldMatrix:
     if not (np.array_equal(rows[:, 0], i + 1) and np.array_equal(rows[:, 1], j + 1)):
         raise ValueError("far-field entries are not 'i j' in 1-based row-major order")
     entries = np.ascontiguousarray(rows[:, 2:]).view(complex).reshape(n, n)
-    return FarFieldMatrix(k=k, directions=uniform_directions(n), entries=entries, shape_kind=kind)
+    return FarFieldMatrix(k=k, entries=entries, shape_kind=kind)

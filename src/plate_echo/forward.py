@@ -391,7 +391,7 @@ class ScatteringSolver:
         proj = dirs @ disc.normal_raw.T                    # (N, 2n): n_j . xhat_i
         phase = np.exp(-1j * self.k * (dirs @ disc.x.T))   # (N, 2n)
         E = -1j * self.k * w * proj * phase
-        return FarFieldMatrix(k=self.k, directions=dirs, entries=E @ phi1, shape_kind=disc.curve.kind)
+        return FarFieldMatrix(k=self.k, entries=E @ phi1, shape_kind=disc.curve.kind)
 
 
 def assemble_far_field_matrix(

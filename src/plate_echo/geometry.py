@@ -45,6 +45,7 @@ class ParametricCurve:
     _pos: Callable = field(repr=False, compare=False, default=None)
     _vel: Callable = field(repr=False, compare=False, default=None)
     _acc: Callable = field(repr=False, compare=False, default=None)
+    _r: Callable = field(repr=False, compare=False, default=None)   # r(theta); None for the kite
 
     def position(self, t):
         return self._pos(np.asarray(t, dtype=float))
@@ -58,11 +59,11 @@ class ParametricCurve:
     def contains(self, points) -> np.ndarray:
         """Boolean mask of points strictly inside the curve."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind in ("circle", "ellipse", "peanut", "star"):
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            th = np.arctan2(pts[:, 1], pts[:, 0])
-            return r < _radial_profile(self.kind, self.params)(th)
-        return _polygon_contains(self._pos, pts)
+        if self._r is None:
+            return _polygon_contains(self._pos, pts)
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        th = np.arctan2(pts[:, 1], pts[:, 0])
+        return r < self._r(th)
 
     def diameter(self) -> float:
         """Max pairwise distance between boundary points (512-node estimate)."""
@@ -71,41 +72,56 @@ class ParametricCurve:
         return float(np.sqrt(d2.max()))
 
 
-def _radial_profile(kind, params):
+def _radial(kind, params):
+    """Check a radial shape's parameters and return (r, r', r'') as functions of the polar angle."""
     if kind == "circle":
         (a,) = params
-        return lambda th: np.full_like(np.asarray(th, dtype=float), a)
+        if a <= 0:
+            raise ValueError("circle radius must be positive")
+        return (lambda th: np.full_like(np.asarray(th, dtype=float), a),
+                lambda th: np.zeros_like(th), lambda th: np.zeros_like(th))
     if kind == "ellipse":
         a, b = params
-        return lambda th: a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
+        if a <= 0 or b <= 0:
+            raise ValueError("ellipse semi-axes must be positive")
+
+        # r(th)^2 = a^2 b^2 / q(th); differentiate q = (b cos)^2 + (a sin)^2.
+        def dr(th):
+            q = (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2
+            dq = (a * a - b * b) * np.sin(2.0 * th)
+            return -0.5 * a * b * dq * q ** -1.5
+
+        def ddr(th):
+            q = (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2
+            dq = (a * a - b * b) * np.sin(2.0 * th)
+            ddq = 2.0 * (a * a - b * b) * np.cos(2.0 * th)
+            return a * b * (0.75 * dq * dq / q - 0.5 * ddq) * q ** -1.5
+
+        return (lambda th: a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2), dr, ddr)
     if kind == "peanut":
         (s,) = params
-        return lambda th: 0.5 * s * np.sqrt(3.0 * np.cos(th) ** 2 + 1.0)
-    if kind == "star":
-        s, amp, m = params
-        return lambda th: s * (1.0 + amp * np.cos(m * th))
-    raise ValueError(f"shape {kind!r} has no radial profile")
+        if s <= 0:
+            raise ValueError("peanut scale must be positive")
 
+        def dr(th):
+            q = 3.0 * np.cos(th) ** 2 + 1.0
+            return -0.75 * s * np.sin(2.0 * th) / np.sqrt(q)
 
-def _radial_closures(r, dr, ddr):
-    def pos(t):
-        c, s = np.cos(t), np.sin(t)
-        return np.stack([r(t) * c, r(t) * s], axis=-1)
+        def ddr(th):
+            q = 3.0 * np.cos(th) ** 2 + 1.0
+            dq = -3.0 * np.sin(2.0 * th)
+            return -0.75 * s * (2.0 * np.cos(2.0 * th) / np.sqrt(q)
+                                - 0.5 * np.sin(2.0 * th) * dq * q ** -1.5)
 
-    def vel(t):
-        c, s = np.cos(t), np.sin(t)
-        rt, drt = r(t), dr(t)
-        return np.stack([drt * c - rt * s, drt * s + rt * c], axis=-1)
-
-    def acc(t):
-        c, s = np.cos(t), np.sin(t)
-        rt, drt, ddrt = r(t), dr(t), ddr(t)
-        return np.stack(
-            [(ddrt - rt) * c - 2.0 * drt * s, (ddrt - rt) * s + 2.0 * drt * c],
-            axis=-1,
-        )
-
-    return pos, vel, acc
+        return (lambda th: 0.5 * s * np.sqrt(3.0 * np.cos(th) ** 2 + 1.0), dr, ddr)
+    s, amp, m = params                                  # star
+    if s <= 0:
+        raise ValueError("star scale must be positive")
+    if not abs(amp) < 1:
+        raise ValueError("star amplitude must satisfy |amp| < 1 so r > 0")
+    return (lambda th: s * (1.0 + amp * np.cos(m * th)),
+            lambda th: -s * amp * m * np.sin(m * th),
+            lambda th: -s * amp * m * m * np.cos(m * th))
 
 
 def make_curve(kind: str, params=None) -> ParametricCurve:
@@ -120,6 +136,7 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
 
     if kind == "kite":
         a, b = params
+        r = None
 
         def pos(t):
             return np.stack([np.cos(t) + a * np.cos(2.0 * t) - a, b * np.sin(t)], axis=-1)
@@ -131,57 +148,26 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
             return np.stack([-np.cos(t) - 4.0 * a * np.cos(2.0 * t), -b * np.sin(t)], axis=-1)
 
     else:
-        if kind == "circle":
-            (a,) = params
-            if a <= 0:
-                raise ValueError("circle radius must be positive")
-            dr = lambda th: np.zeros_like(th)
-            ddr = lambda th: np.zeros_like(th)
-        elif kind == "ellipse":
-            a, b = params
-            if a <= 0 or b <= 0:
-                raise ValueError("ellipse semi-axes must be positive")
-            # r(th)^2 = a^2 b^2 / q(th); differentiate q = (b cos)^2 + (a sin)^2.
-            def dr(th):
-                q = (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2
-                dq = (a * a - b * b) * np.sin(2.0 * th)
-                return -0.5 * a * b * dq * q ** -1.5
+        r, dr, ddr = _radial(kind, params)
 
-            def ddr(th):
-                q = (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2
-                dq = (a * a - b * b) * np.sin(2.0 * th)
-                ddq = 2.0 * (a * a - b * b) * np.cos(2.0 * th)
-                return a * b * (0.75 * dq * dq / q - 0.5 * ddq) * q ** -1.5
-        elif kind == "peanut":
-            (s,) = params
-            if s <= 0:
-                raise ValueError("peanut scale must be positive")
+        def pos(t):
+            c, s = np.cos(t), np.sin(t)
+            return np.stack([r(t) * c, r(t) * s], axis=-1)
 
-            def dr(th):
-                q = 3.0 * np.cos(th) ** 2 + 1.0
-                return -0.75 * s * np.sin(2.0 * th) / np.sqrt(q)
+        def vel(t):
+            c, s = np.cos(t), np.sin(t)
+            rt, drt = r(t), dr(t)
+            return np.stack([drt * c - rt * s, drt * s + rt * c], axis=-1)
 
-            def ddr(th):
-                q = 3.0 * np.cos(th) ** 2 + 1.0
-                dq = -3.0 * np.sin(2.0 * th)
-                return -0.75 * s * (2.0 * np.cos(2.0 * th) / np.sqrt(q)
-                                    - 0.5 * np.sin(2.0 * th) * dq * q ** -1.5)
-        else:  # star
-            s, amp, m = params
-            if s <= 0:
-                raise ValueError("star scale must be positive")
-            if not abs(amp) < 1:
-                raise ValueError("star amplitude must satisfy |amp| < 1 so r > 0")
+        def acc(t):
+            c, s = np.cos(t), np.sin(t)
+            rt, drt, ddrt = r(t), dr(t), ddr(t)
+            return np.stack(
+                [(ddrt - rt) * c - 2.0 * drt * s, (ddrt - rt) * s + 2.0 * drt * c],
+                axis=-1,
+            )
 
-            def dr(th):
-                return -s * amp * m * np.sin(m * th)
-
-            def ddr(th):
-                return -s * amp * m * m * np.cos(m * th)
-
-        pos, vel, acc = _radial_closures(_radial_profile(kind, params), dr, ddr)
-
-    curve = ParametricCurve(kind=kind, params=params, _pos=pos, _vel=vel, _acc=acc)
+    curve = ParametricCurve(kind=kind, params=params, _pos=pos, _vel=vel, _acc=acc, _r=r)
     _validate(curve)
     return curve
 
@@ -195,10 +181,6 @@ def _validate(curve, samples: int = 4096):
     speed = np.hypot(v[:, 0], v[:, 1])
     if speed.min() <= 1e-12:
         raise ValueError(f"shape {curve.kind!r}: parametrization is not regular (|x'| ~ 0)")
-    if curve.kind in ("circle", "ellipse", "peanut", "star"):
-        r = np.hypot(p[:, 0], p[:, 1])
-        if r.min() <= 0:
-            raise ValueError(f"shape {curve.kind!r}: r(theta) <= 0 for some angle")
 
 
 def _polygon_contains(pos, pts, nodes: int = 1024):

@@ -148,8 +148,9 @@ def indicator_values(ff: FarFieldMatrix, points, rho, which):
     step = max(1, INDICATOR_BLOCK // ff.n_dirs)
     raw = {name: np.empty(len(points)) for name in names}
     FP = np.empty((min(len(points), step), ff.n_dirs), dtype=complex)
+    directions = ff.directions
     for start in range(0, len(points), step):
-        P = phi_z(ff.k, ff.directions, points[start:start + step])
+        P = phi_z(ff.k, directions, points[start:start + step])
         for name, vals in _indicator(ff.entries, P, FP[:len(P)], names).items():
             raw[name][start:start + len(P)] = vals
     values = [raw[w] ** r for r, w in pairs]
@@ -163,14 +164,9 @@ class ImagingGrid:
     values has shape (ny, nx); values[iy, ix] belongs to (xs[ix], ys[iy]).
     """
 
-    extent: tuple                 # (x_min, x_max, y_min, y_max)
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
-
-    @property
-    def resolution(self) -> tuple:
-        return (len(self.xs), len(self.ys))
 
     def points(self) -> np.ndarray:
         """Grid points, row-major over (y, x), shape (nx*ny, 2)."""
@@ -196,8 +192,9 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
     # phi_z(x, y) = phi_z(x, 0) * phi_z(0, y): (nx + ny) N exponentials, not nx ny N
-    E_x = phi_z(ff.k, ff.directions, np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, N)
-    E_y = phi_z(ff.k, ff.directions, np.stack([np.zeros(ny), ys], axis=-1))   # (ny, N)
+    directions = ff.directions
+    E_x = phi_z(ff.k, directions, np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, N)
+    E_y = phi_z(ff.k, directions, np.stack([np.zeros(ny), ys], axis=-1))   # (ny, N)
     rows = min(ny, max(1, INDICATOR_BLOCK // (nx * ff.n_dirs)))
     # one test-vector block and one F phi_z block, reused by every row block
     P = np.empty((rows, nx, ff.n_dirs), dtype=complex)
@@ -213,7 +210,7 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     peak = vals.max()
     if not 0.0 < peak < np.inf:
         raise ValueError(f"degenerate imaging grid: indicator peak {peak:g} is not positive and finite")
-    return ImagingGrid(extent=(x_min, x_max, y_min, y_max), xs=xs, ys=ys, values=vals / peak)
+    return ImagingGrid(xs=xs, ys=ys, values=vals / peak)
 
 
 def save_grid_csv(grid: ImagingGrid, path) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .farfield import FarFieldMatrix, uniform_directions
+from .farfield import FarFieldMatrix
 from .specfun import bessel_k, bessel_k_deriv, hankel1, hankel1_deriv
 
 
@@ -128,9 +128,4 @@ def disk_far_field_matrix(a: float, k: float, n_dirs: int) -> FarFieldMatrix:
     """
     _, ra, _ = _converged_modes(a, k)
     theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-    return FarFieldMatrix(
-        k=float(k),
-        directions=uniform_directions(n_dirs),
-        entries=_far_field(ra, theta, theta),
-        shape_kind="circle",
-    )
+    return FarFieldMatrix(k=float(k), entries=_far_field(ra, theta, theta), shape_kind="circle")

@@ -55,9 +55,11 @@ class CheckRecord:
         return bool(self.value <= self.tolerance)
 
     def line(self) -> str:
-        """The machine-readable record printed by the commands."""
+        """The machine-readable record printed by the commands; k prints exactly."""
+        k = f"{self.k:g}"                               # six digits, unless they lose some
+        k = k if float(k) == self.k else repr(float(self.k))
         return (
-            f"check={self.check} shape={self.shape or '-'} k={self.k:g} N={self.n_dirs} "
+            f"check={self.check} shape={self.shape or '-'} k={k} N={self.n_dirs} "
             f"value={self.value:.6e} tol={self.tolerance:g} pass={int(self.passed)}"
         )
 

@@ -21,10 +21,19 @@ from plate_echo.cli import (
     cmd_forward,
     main,
     parse_config,
-    parse_config_text,
 )
 from plate_echo.forward import load_farfield
 from plate_echo.geometry import make_curve
+
+
+@pytest.fixture
+def parse_text(tmp_path):
+    """parse_config on INI text, written to a file first."""
+    def parse(text, base=None):
+        path = tmp_path / "config.ini"
+        path.write_text(text, encoding="utf-8")
+        return parse_config(path, base=base)
+    return parse
 
 
 def test_defaults_reproduce_benchmark_setup():
@@ -45,8 +54,8 @@ def test_presets():
     assert PRESETS["paper-peanut"].shape_kind == "peanut"
 
 
-def test_config_round_trip():
-    cfg = parse_config_text(
+def test_config_round_trip(parse_text):
+    cfg = parse_text(
         """
         [experiment]
         shape = peanut
@@ -76,8 +85,8 @@ def test_config_round_trip():
     )
 
 
-def test_percent_in_config_value():
-    cfg = parse_config_text("[output]\ndir = a%b\n")
+def test_percent_in_config_value(parse_text):
+    cfg = parse_text("[output]\ndir = a%b\n")
     assert cfg.out_dir == "a%b"
 
 
@@ -86,7 +95,6 @@ def test_config_path_with_equals_sign(tmp_path):
     path = tmp_path / "cfg=1" / "c.ini"
     path.parent.mkdir()
     path.write_text("[experiment]\nshape = circle\n")
-    assert parse_config(path) == parse_config_text(path.read_text())
     assert main(["oracle", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
     assert load_farfield(tmp_path / "farfield_circle_oracle.txt").n_dirs == 64
 
@@ -109,25 +117,25 @@ UNKNOWN_KEYS = (("[noise]\ndelat = 0.1\n", "delat"), ("[imagng]\nrho = 2\n", "im
                 ("[Noise]\n", "Noise"), ("[DEFAULT]\nk = 8\n", "'k'"))
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(parse_text):
     with pytest.raises(Exception):
-        parse_config_text("[experiment]\nk = 0\n")
+        parse_text("[experiment]\nk = 0\n")
     with pytest.raises(Exception):
-        parse_config_text("[experiment]\nquad_nodes = 17\n")
+        parse_text("[experiment]\nquad_nodes = 17\n")
     with pytest.raises(Exception):
-        parse_config_text("[imaging]\nwhich = both\n")
+        parse_text("[imaging]\nwhich = both\n")
     with pytest.raises(Exception):
-        parse_config_text("[mask]\nrows = 99\n")
+        parse_text("[mask]\nrows = 99\n")
     for text in ("[experiment]\nk = nan\n", "[experiment]\nk = inf\n",
                  "[imaging]\nrho = nan\n", "[imaging]\nrho = inf\n",
                  "[imaging]\nextent = nan, 4, -4, 4\n", "[imaging]\nextent = -4, 4, -inf, 4\n",
                  *REVERSED_RANGES):
         with pytest.raises(ConfigError):
-            parse_config_text(text)
+            parse_text(text)
     # a misspelled key or section used to be ignored, leaving the default in force
     for text, name in UNKNOWN_KEYS:
         with pytest.raises(ConfigError, match=name):
-            parse_config_text(text)
+            parse_text(text)
 
 
 def test_unknown_config_key_writes_nothing(tmp_path, capsys, ff_star):
@@ -143,6 +151,29 @@ def test_unknown_config_key_writes_nothing(tmp_path, capsys, ff_star):
     assert not list(tmp_path.glob("grid_*"))
 
 
+def test_unwritable_out_is_config_error(tmp_path, capsys, ff_star):
+    # --out below a regular file: the output directory cannot be made
+    from plate_echo.forward import save_farfield
+
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    circle = tmp_path / "circle.ini"
+    circle.write_text("[experiment]\nshape = circle\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub"
+    for argv in (["oracle", "--config", str(circle)], ["image", str(star)]):
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot write {out}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "circle.ini", "star.txt"]
+    # the rename onto a directory fails after the temporary file is written: it goes too
+    out = tmp_path / "out"
+    (out / "grid_ip.csv").mkdir(parents=True)
+    assert main(["image", str(star), "--out", str(out)]) == EXIT_CONFIG
+    assert str(out / "grid_ip.csv") in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["grid_ip.csv"]
+
+
 def test_image_refuses_reversed_ranges(tmp_path, ff_star):
     from plate_echo.forward import save_farfield
 
@@ -155,11 +186,11 @@ def test_image_refuses_reversed_ranges(tmp_path, ff_star):
     assert not list(tmp_path.glob("grid_*"))
 
 
-def test_forward_circle_is_circulant(tmp_path, capsys):
-    cfg = parse_config_text(
+def test_forward_circle_is_circulant(tmp_path, capsys, parse_text):
+    cfg = parse_text(
         "[experiment]\nshape = circle\nshape_params = 1.0\n"
     )
-    cfg = parse_config_text(f"[output]\ndir = {tmp_path}\n", base=cfg)
+    cfg = parse_text(f"[output]\ndir = {tmp_path}\n", base=cfg)
     path = cmd_forward(cfg)
     out = capsys.readouterr().out
     assert "check=operator_identity" in out and "pass=1" in out
@@ -345,14 +376,9 @@ def test_k_zero_is_config_error(tmp_path):
 
 
 def test_degenerate_grid_maps_to_exit_4(tmp_path, ff_star):
-    from plate_echo.forward import FarFieldMatrix, save_farfield, uniform_directions
+    from plate_echo.forward import FarFieldMatrix, save_farfield
 
-    zero = FarFieldMatrix(
-        k=4.0,
-        directions=uniform_directions(64),
-        entries=np.zeros((64, 64), complex),
-        shape_kind="star",
-    )
+    zero = FarFieldMatrix(k=4.0, entries=np.zeros((64, 64), complex), shape_kind="star")
     path = tmp_path / "zeros.txt"
     save_farfield(zero, path)
     assert main(["image", str(path), "--out", str(tmp_path)]) == EXIT_DEGENERATE

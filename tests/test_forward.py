@@ -347,8 +347,7 @@ def _small_matrix(n=4):
     entries = np.empty((n, n), dtype=complex)
     entries.real = vals.reshape(n, n)
     entries.imag = np.roll(vals, 4).reshape(n, n)     # -0.0 meets 0.1 both ways round
-    return FarFieldMatrix(k=4.0, directions=uniform_directions(n), entries=entries,
-                          shape_kind="star")
+    return FarFieldMatrix(k=4.0, entries=entries, shape_kind="star")
 
 
 def test_farfield_file_lines_follow_the_format(tmp_path):

@@ -105,6 +105,25 @@ def test_invalid_parameters():
         make_curve("banana")
     with pytest.raises(ValueError):
         make_curve("circle", (1.0, 2.0))      # wrong arity
+    for kind, params in (("ellipse", (1.0, 0.0)), ("peanut", (0.0,)), ("star", (0.0, 0.3, 4.0))):
+        with pytest.raises(ValueError):
+            make_curve(kind, params)
+    # a NaN or infinite parameter slips past "<= 0" and fails the finiteness check
+    for kind, params in (("circle", (np.nan,)), ("ellipse", (np.inf, 1.0)), ("peanut", (np.inf,)),
+                         ("star", (1.5, 0.3, np.nan)), ("kite", (np.nan, 1.5))):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            make_curve(kind, params)
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "peanut", "star"])
+def test_contains_brackets_the_radial_boundary(kind):
+    c = make_curve(kind)
+    th = np.random.default_rng(5).uniform(-np.pi, np.pi, 500)
+    # r(theta) from a boundary point at that polar angle (t = theta for these shapes)
+    r = np.hypot(*c.position(th).T)
+    ray = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    assert c.contains(0.999 * r[:, None] * ray).all()
+    assert not c.contains(1.001 * r[:, None] * ray).any()
 
 
 def test_contains_radial_and_kite():

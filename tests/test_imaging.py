@@ -32,9 +32,7 @@ EXTENT = (-4.0, 4.0, -4.0, 4.0)
 
 
 def _identity_ff(n=64):
-    return FarFieldMatrix(
-        k=K, directions=uniform_directions(n), entries=np.eye(n, dtype=complex)
-    )
+    return FarFieldMatrix(k=K, entries=np.eye(n, dtype=complex))
 
 
 class TestNoise:
@@ -124,8 +122,7 @@ class TestPhiZ:
 
 class TestIndicators:
     def test_zero_matrix(self):
-        ff = FarFieldMatrix(k=K, directions=uniform_directions(16),
-                            entries=np.zeros((16, 16), complex))
+        ff = FarFieldMatrix(k=K, entries=np.zeros((16, 16), complex))
         assert w_ip(ff, (0.3, 0.1), 4.0) == 0.0
         assert w_norm(ff, (0.3, 0.1), 4.0) == 0.0
 
@@ -136,8 +133,7 @@ class TestIndicators:
     def test_homogeneity(self, ff_star):
         z = (0.7, 0.2)
         for rho in (1.0, 4.0):
-            scaled = FarFieldMatrix(k=ff_star.k, directions=ff_star.directions,
-                                    entries=2.5 * ff_star.entries)
+            scaled = FarFieldMatrix(k=ff_star.k, entries=2.5 * ff_star.entries)
             assert w_ip(scaled, z, rho) == pytest.approx(2.5**rho * w_ip(ff_star, z, rho), rel=1e-12)
             assert w_norm(scaled, z, rho) == pytest.approx(2.5**rho * w_norm(ff_star, z, rho), rel=1e-12)
 
@@ -222,15 +218,13 @@ class TestGrid:
 
     def test_scale_invariance_of_normalized_grid(self, ff_star):
         g1 = evaluate_grid(ff_star, EXTENT, (40, 40), 4.0, "ip")
-        scaled = FarFieldMatrix(k=ff_star.k, directions=ff_star.directions,
-                                entries=3.0 * ff_star.entries)
+        scaled = FarFieldMatrix(k=ff_star.k, entries=3.0 * ff_star.entries)
         g2 = evaluate_grid(scaled, EXTENT, (40, 40), 4.0, "ip")
         assert np.allclose(g1.values, g2.values, atol=1e-12)
         assert np.array_equal(g1.argmax_point(), g2.argmax_point())
 
     def test_degenerate_grid_raises(self):
-        ff = FarFieldMatrix(k=K, directions=uniform_directions(16),
-                            entries=np.zeros((16, 16), complex))
+        ff = FarFieldMatrix(k=K, entries=np.zeros((16, 16), complex))
         with pytest.raises(ValueError):
             evaluate_grid(ff, EXTENT, (10, 10), 4.0, "ip")
 
@@ -304,7 +298,7 @@ class TestGridFiles:
         values = np.array([[-0.0, 5e-324, 1e300, 1.0],
                            [0.1, -2.5e-7, -1e-300, 0.0],
                            [1.0, 0.5, 1 / 3, -0.1]])
-        grid = ImagingGrid(extent=(-7.0, 1e300, -1.0, 1.0), xs=xs, ys=ys, values=values)
+        grid = ImagingGrid(xs=xs, ys=ys, values=values)
         path = tmp_path / "grid.csv"
         save_grid_csv(grid, path)
         expected = ["x,y,value"] + [f"{x:.17g},{y:.17g},{values[iy, ix]:.17g}"

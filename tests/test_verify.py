@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plate_echo.forward import FarFieldMatrix, assemble_far_field_matrix, uniform_directions
+from plate_echo.forward import FarFieldMatrix, assemble_far_field_matrix
 from plate_echo.geometry import make_curve
 from plate_echo.imaging import ImagingGrid, indicator_values
 from plate_echo.verify import (
@@ -42,8 +42,7 @@ class TestFunkHecke:
 
 class TestOperatorIdentity:
     def test_zero_matrix_flags_degenerate(self):
-        ff = FarFieldMatrix(k=K, directions=uniform_directions(8),
-                            entries=np.zeros((8, 8), complex))
+        ff = FarFieldMatrix(k=K, entries=np.zeros((8, 8), complex))
         rep = check_operator_identity(ff)
         assert np.isnan(rep.value) and not rep.passed
         assert rep.line() == "check=operator_identity shape=- k=4 N=8 value=nan tol=0.01 pass=0"
@@ -104,14 +103,17 @@ class TestOperatorIdentity:
         # CheckRecord alone decides pass= and formats the line
         assert CheckRecord("x", "", 12.5, 8, 0.0123456789, 0.4).line() == (
             "check=x shape=- k=12.5 N=8 value=1.234568e-02 tol=0.4 pass=1")
+        assert " k=16 " in CheckRecord("x", "-", 16, 64, 0.0, 1.0).line()
+        # a k that six digits would round prints exactly, so lines stay distinct
+        assert CheckRecord("x", "-", 4.0000001, 64, 0.0, 1.0).line() == (
+            "check=x shape=- k=4.0000001 N=64 value=0.000000e+00 tol=1 pass=1")
         assert CheckRecord("x", "-", 4.0, 64, 1e-2, 1e-2).passed
         assert not CheckRecord("x", "-", 4.0, 64, float("nan"), 1e-2).passed
 
 
 class TestEquivalenceChain:
     def test_zero_matrix_zero_slack(self):
-        ff = FarFieldMatrix(k=K, directions=uniform_directions(16),
-                            entries=np.zeros((16, 16), complex))
+        ff = FarFieldMatrix(k=K, entries=np.zeros((16, 16), complex))
         assert check_equivalence_chain(ff, np.array([[0.5, 0.5]])) == 0.0
 
     def test_oracle_path(self, ff_oracle, sample_points):
@@ -154,11 +156,7 @@ class TestDecaySlope:
         assert slope == pytest.approx(-1.0, abs=0.2)
 
     def test_scaling_leaves_slope(self, ff_star_many_dirs):
-        scaled = FarFieldMatrix(
-            k=ff_star_many_dirs.k,
-            directions=ff_star_many_dirs.directions,
-            entries=10.0 * ff_star_many_dirs.entries,
-        )
+        scaled = FarFieldMatrix(k=ff_star_many_dirs.k, entries=10.0 * ff_star_many_dirs.entries)
         s1 = check_decay_slope(ff_star_many_dirs, "ip", 1.0, self.RADII)
         s2 = check_decay_slope(scaled, "ip", 1.0, self.RADII)
         assert abs(s1 - s2) < 1e-9
@@ -181,8 +179,7 @@ class TestDecaySlope:
             check_decay_slope(ff_star, ("ip", "bogus"), (1.0, 2.0), self.RADII)
 
     def test_zero_average_raises(self):
-        ff = FarFieldMatrix(k=K, directions=uniform_directions(16),
-                            entries=np.zeros((16, 16), complex))
+        ff = FarFieldMatrix(k=K, entries=np.zeros((16, 16), complex))
         with pytest.raises(RuntimeError):
             check_decay_slope(ff, "ip", 1.0, self.RADII)
 
@@ -198,7 +195,7 @@ class TestReconstructionOverlap:
         X, Y = np.meshgrid(xs, ys)
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
         vals = curve.contains(pts).astype(float).reshape(n, n)
-        return ImagingGrid(extent=(-4, 4, -4, 4), xs=xs, ys=ys, values=vals)
+        return ImagingGrid(xs=xs, ys=ys, values=vals)
 
     def test_perfect_indicator(self, star_curve):
         grid = self._indicator_grid(star_curve)
@@ -206,8 +203,7 @@ class TestReconstructionOverlap:
 
     def test_all_ones_gives_area_fraction(self, star_curve):
         grid = self._indicator_grid(star_curve)
-        ones = ImagingGrid(extent=grid.extent, xs=grid.xs, ys=grid.ys,
-                           values=np.ones_like(grid.values))
+        ones = ImagingGrid(xs=grid.xs, ys=grid.ys, values=np.ones_like(grid.values))
         frac = reconstruction_overlap(ones, star_curve, 0.5)
         assert frac == pytest.approx(grid.values.mean(), abs=1e-12)
 
@@ -226,7 +222,6 @@ class TestReconstructionOverlap:
 
     def test_degenerate_empty_set(self, star_curve):
         grid = self._indicator_grid(star_curve)
-        zeros = ImagingGrid(extent=grid.extent, xs=grid.xs, ys=grid.ys,
-                            values=np.zeros_like(grid.values))
+        zeros = ImagingGrid(xs=grid.xs, ys=grid.ys, values=np.zeros_like(grid.values))
         with pytest.raises(ValueError):
             reconstruction_overlap(zeros, star_curve, 0.5)
