@@ -17,7 +17,8 @@ Exit codes: 0 ok, 2 config error, 3 solver failure, 4 degenerate output,
 5 verification failure.
 
 Every command is a pure function of (config, input files, seed): reruns
-produce byte-identical outputs. Files are written atomically (temp + rename).
+produce byte-identical outputs. A command writes all of its files or none:
+each goes to a temporary file beside its target, then all are renamed.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ DECAY_RADII = tuple(np.geomspace(10.0, 100.0, 12))
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class VerificationFailure(RuntimeError):
     pass
 
 
@@ -214,45 +211,45 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
 
 
 # ---------------------------------------------------------------------------
-# atomic output
+# output: all of a command's files or none
 # ---------------------------------------------------------------------------
-def _atomic_write(path: str, writer) -> None:
-    """writer(tmp) on a temporary file beside path, then rename; an OSError is a ConfigError."""
-    tmp = None
+def _write(files: dict) -> None:
+    """writer(tmp) beside each path, then every rename; an OSError is a ConfigError and leaves none."""
+    tmps, renamed = {}, []
     try:
-        d = os.path.dirname(os.path.abspath(path))
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-        os.close(fd)
-        writer(tmp)
-        os.replace(tmp, path)
+        for path, writer in files.items():
+            d = os.path.dirname(os.path.abspath(path))
+            os.makedirs(d, exist_ok=True)
+            fd, tmps[path] = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+            os.close(fd)
+            writer(tmps[path])
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+            renamed.append(path)
     except OSError as exc:
+        for done in renamed:
+            os.unlink(done)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (check records, {path: writer}, lines to print after writing)
 # ---------------------------------------------------------------------------
-def cmd_forward(cfg: ExperimentConfig) -> str:
-    """Solve, check the operator identity, and write the far-field matrix file only if it passes."""
+def cmd_forward(cfg: ExperimentConfig):
+    """Solve and check the operator identity; the far-field matrix file is written only if it passes."""
     from .forward import assemble_far_field_matrix
     from .verify import check_operator_identity
 
     ff = assemble_far_field_matrix(cfg.curve(), cfg.k, cfg.n_dirs, cfg.quad_nodes)
-    rep = check_operator_identity(ff, tolerance=1e-2)
-    print(rep.line())
-    if not rep.passed:
-        raise VerificationFailure("far-field matrix fails the operator identity; nothing written")
     path = os.path.join(cfg.out_dir, f"farfield_{cfg.shape_kind}.txt")
-    _atomic_write(path, lambda p: save_farfield(ff, p))
-    print(f"wrote {path}")
-    return path
+    return [check_operator_identity(ff, tolerance=1e-2)], {path: lambda p: save_farfield(ff, p)}, []
 
 
-def cmd_image(cfg: ExperimentConfig, matrix_path: str) -> str:
+def cmd_image(cfg: ExperimentConfig, matrix_path: str):
     """Noise + mask + indicator grid from a far-field matrix file."""
     try:
         ff = load_farfield(matrix_path)
@@ -265,35 +262,29 @@ def cmd_image(cfg: ExperimentConfig, matrix_path: str) -> str:
     ff = add_noise(ff, NoiseModel(cfg.delta, cfg.seed))
     ff = apply_mask(ff, cfg.mask())
     grid = evaluate_grid(ff, cfg.extent, cfg.resolution, cfg.rho, cfg.which)
-    path = os.path.join(cfg.out_dir, f"grid_{cfg.which}.csv")
-    _atomic_write(path, lambda p: save_grid_csv(grid, p))
+    stem = os.path.join(cfg.out_dir, f"grid_{cfg.which}")
+    files = {f"{stem}.csv": lambda p: save_grid_csv(grid, p)}
     if cfg.write_pgm:
-        pgm = os.path.join(cfg.out_dir, f"grid_{cfg.which}.pgm")
-        _atomic_write(pgm, lambda p: save_grid_pgm(grid, p))
+        files[f"{stem}.pgm"] = lambda p: save_grid_pgm(grid, p)
     ax, ay = grid.argmax_point()
-    print(
-        f"image which={cfg.which} rho={cfg.rho:g} delta={cfg.delta:g} seed={cfg.seed} "
-        f"argmax=({ax:.6g}, {ay:.6g}) max=1"
-    )
-    print(f"wrote {path}")
-    return path
+    line = (f"image which={cfg.which} rho={cfg.rho:g} delta={cfg.delta:g} seed={cfg.seed} "
+            f"argmax=({ax:.6g}, {ay:.6g}) max=1")
+    return [], files, [line]
 
 
-def cmd_oracle(cfg: ExperimentConfig) -> str:
-    """Write the closed-form disk far-field matrix (circle configs only)."""
+def cmd_oracle(cfg: ExperimentConfig):
+    """The closed-form disk far-field matrix (circle configs only)."""
     from .oracle import disk_far_field_matrix
 
     if cfg.shape_kind != "circle":
         raise ConfigError("the oracle command needs shape = circle")
     ff = disk_far_field_matrix(cfg.shape_params[0], cfg.k, cfg.n_dirs)
     path = os.path.join(cfg.out_dir, "farfield_circle_oracle.txt")
-    _atomic_write(path, lambda p: save_farfield(ff, p))
-    print(f"wrote {path}")
-    return path
+    return [], {path: lambda p: save_farfield(ff, p)}, []
 
 
-def cmd_verify(cfg: ExperimentConfig) -> None:
-    """Run the verification suite; prints one record per check, raises if any fails."""
+def cmd_verify(cfg: ExperimentConfig):
+    """The verification suite: one record per check, and no file."""
     if cfg.n_dirs < 8:
         raise ConfigError("verify needs n_dirs >= 8 for its circle-average checks")
     from .forward import ScatteringSolver, assemble_far_field_matrix
@@ -340,16 +331,22 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
         expected = -rho if which == "ip" else -rho / 2.0
         records.append(CheckRecord(f"decay_{which}_rho{rho:g}", cfg.shape_kind, k,
                                    DECAY_DIRECTIONS, abs(slope - expected), 0.2 * abs(expected)))
-
-    print("\n".join(r.line() for r in records))
-    if not all(r.passed for r in records):
-        raise VerificationFailure("a check exceeded its tolerance")
-    print("verification: ok")
+    return records, {}, ["verification: ok"]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+# name -> (help, run(cfg, args))
+COMMANDS = {
+    "forward": ("solve and write the multi-static far-field matrix", lambda cfg, a: cmd_forward(cfg)),
+    "image": ("evaluate an imaging grid from a far-field matrix file",
+              lambda cfg, a: cmd_image(cfg, a.matrix)),
+    "verify": ("run the identity/decay verification suite", lambda cfg, a: cmd_verify(cfg)),
+    "oracle": ("write the closed-form disk far-field matrix", lambda cfg, a: cmd_oracle(cfg)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="plate-echo",
@@ -357,12 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"plate-echo {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("forward", "solve and write the multi-static far-field matrix"),
-        ("image", "evaluate an imaging grid from a far-field matrix file"),
-        ("verify", "run the identity/decay verification suite"),
-        ("oracle", "write the closed-form disk far-field matrix"),
-    ):
+    for name, (help_, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", help="INI config file")
         sp.add_argument("--preset", choices=sorted(PRESETS), help="named benchmark setup")
@@ -384,24 +376,23 @@ def _effective_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command: print its records; if all pass, write its files, then print its lines."""
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _effective_config(args)
-        if args.command == "forward":
-            cmd_forward(cfg)
-        elif args.command == "image":
-            cmd_image(cfg, args.matrix)
-        elif args.command == "oracle":
-            cmd_oracle(cfg)
-        elif args.command == "verify":
-            cmd_verify(cfg)
+        records, files, lines = COMMANDS[args.command][1](_effective_config(args), args)
+        for rec in records:
+            print(rec.line())
+        failed = [rec.check for rec in records if not rec.passed]
+        if failed:
+            print(f"verification: FAIL (failed {', '.join(failed)}; nothing written)", file=sys.stderr)
+            return EXIT_VERIFY
+        _write(files)
+        for line in (*lines, *(f"wrote {path}" for path in files)):
+            print(line)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except VerificationFailure as exc:
-        print(f"verification: FAIL ({exc})", file=sys.stderr)
-        return EXIT_VERIFY
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -323,8 +323,10 @@ class ScatteringSolver:
         self.disc = discretize(curve, n_nodes, offset=node_offset)
         self.left, self.right = assemble_system(self.disc, self.k)
         self.system_norm = np.hypot(np.linalg.norm(self.left), np.linalg.norm(self.right))
+        if not np.isfinite(self.system_norm):
+            raise RuntimeError(f"the assembled system overflows at k={self.k:g}; nothing can be solved")
         m2 = n_nodes
-        self.lu22 = lu_factor(self.right[m2:])
+        self.lu22 = lu_factor(self.right[m2:], check_finite=False)
         # W = A12 A22^-1 from A22^T W^T = A12^T
         self.W = lu_solve(self.lu22, self.right[:m2].T, trans=1).T
         # S = A11 - W A21: W times the interleaved (re, im) columns of A21 is one real GEMM.

@@ -133,6 +133,8 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
         raise ValueError(
             f"shape {kind!r} takes {len(_DEFAULT_PARAMS[kind])} parameters, got {len(params)}"
         )
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"shape {kind!r} parameters must be finite")
 
     if kind == "kite":
         a, b = params

@@ -30,7 +30,7 @@ import numpy as np
 
 from .farfield import FarFieldMatrix, uniform_directions
 from .geometry import ParametricCurve
-from .imaging import ImagingGrid, indicator_values
+from .imaging import ImagingGrid, indicator_values, phi_z
 # cmd_verify takes its reference matrix from here, so importing verify loads the
 # oracle too: perfbench wraps only the modules that its own imports load
 from .oracle import disk_far_field_matrix  # noqa: F401
@@ -71,7 +71,7 @@ def check_funk_hecke(k: float, x, z, n_dirs: int) -> float:
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     d = uniform_directions(n_dirs)
-    quad = (2.0 * np.pi / n_dirs) * np.exp(1j * k * (d @ (x - z))).sum()
+    quad = (2.0 * np.pi / n_dirs) * phi_z(k, d, z - x).sum()
     exact = 2.0 * np.pi * bessel_j(0, k * np.linalg.norm(x - z))
     return float(abs(quad - exact))
 

@@ -1,8 +1,10 @@
 """Command-line driver: config parsing, commands, exit codes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +119,13 @@ UNKNOWN_KEYS = (("[noise]\ndelat = 0.1\n", "delat"), ("[imagng]\nrho = 2\n", "im
                 ("[Noise]\n", "Noise"), ("[DEFAULT]\nk = 8\n", "'k'"))
 
 
+# one value outside each rule of ExperimentConfig.validate and of the value parsers
+OUT_OF_RANGE = ("[experiment]\nn_dirs = 3\n", "[imaging]\nrho = 0\n", "[imaging]\nrho = -1\n",
+                "[noise]\ndelta = 1\n", "[noise]\ndelta = -0.1\n", "[imaging]\nextent = -4, 4, -4\n",
+                "[imaging]\nresolution = 1, 10\n", "[imaging]\nresolution = 10\n",
+                "[experiment]\nshape = hexagon\n", "[output]\nwrite_pgm = maybe\n")
+
+
 def test_config_validation_errors(parse_text):
     with pytest.raises(Exception):
         parse_text("[experiment]\nk = 0\n")
@@ -129,7 +138,7 @@ def test_config_validation_errors(parse_text):
     for text in ("[experiment]\nk = nan\n", "[experiment]\nk = inf\n",
                  "[imaging]\nrho = nan\n", "[imaging]\nrho = inf\n",
                  "[imaging]\nextent = nan, 4, -4, 4\n", "[imaging]\nextent = -4, 4, -inf, 4\n",
-                 *REVERSED_RANGES):
+                 *REVERSED_RANGES, *OUT_OF_RANGE):
         with pytest.raises(ConfigError):
             parse_text(text)
     # a misspelled key or section used to be ignored, leaving the default in force
@@ -174,6 +183,55 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, ff_star):
     assert [p.name for p in out.iterdir()] == ["grid_ip.csv"]
 
 
+def test_image_writes_all_or_none(tmp_path, capsys, ff_star):
+    # the PGM's rename fails after the CSV's has gone through: the CSV must go too
+    from plate_echo.forward import save_farfield
+
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    cfg = tmp_path / "pgm.ini"
+    cfg.write_text("[output]\nwrite_pgm = true\n")
+    out = tmp_path / "out"
+    (out / "grid_ip.pgm").mkdir(parents=True)
+    assert main(["image", str(star), "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"cannot write {out / 'grid_ip.pgm'}" in captured.err and captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["grid_ip.pgm"]
+
+
+def test_image_pgm_is_a_valid_raster(tmp_path, capsys, ff_star):
+    from plate_echo.forward import save_farfield
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    cfg = tmp_path / "pgm.ini"
+    cfg.write_text("[imaging]\nresolution = 40, 30\n[output]\nwrite_pgm = true\n")
+    assert main(["image", str(star), "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [f"wrote {tmp_path / 'grid_ip.csv'}", f"wrote {tmp_path / 'grid_ip.pgm'}"]
+    _, _, values = reference.parse_grid_csv(tmp_path / "grid_ip.csv")
+    img = reference.parse_pgm(tmp_path / "grid_ip.pgm")
+    assert img.shape == (30, 40)
+    np.testing.assert_array_equal(img, np.clip(np.rint(values * 255.0), 0, 255)[::-1])
+
+
+def test_non_finite_shape_parameters_are_one_config_error(tmp_path, capsys):
+    # they used to reach the curve's formulas and print numpy warnings before the error
+    cfg = tmp_path / "inf.ini"
+    for value in ("inf", "nan"):
+        cfg.write_text(f"[experiment]\nshape = peanut\nshape_params = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: shape 'peanut' parameters must be finite\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_image_refuses_reversed_ranges(tmp_path, ff_star):
     from plate_echo.forward import save_farfield
 
@@ -191,9 +249,12 @@ def test_forward_circle_is_circulant(tmp_path, capsys, parse_text):
         "[experiment]\nshape = circle\nshape_params = 1.0\n"
     )
     cfg = parse_text(f"[output]\ndir = {tmp_path}\n", base=cfg)
-    path = cmd_forward(cfg)
-    out = capsys.readouterr().out
-    assert "check=operator_identity" in out and "pass=1" in out
+    records, files, lines = cmd_forward(cfg)
+    assert [(rec.check, rec.passed) for rec in records] == [("operator_identity", True)]
+    assert lines == [] and capsys.readouterr().out == ""     # a command prints nothing itself
+    (path, writer), = files.items()
+    assert path == str(tmp_path / "farfield_circle.txt") and not os.path.exists(path)
+    writer(path)
     ff = load_farfield(path)
     e = ff.entries
     dev = max(
@@ -209,8 +270,10 @@ def test_forward_refuses_failed_identity(tmp_path, capsys):
     cfg.write_text("[experiment]\nk = 12\n")
     out = tmp_path / "out"
     assert main(["forward", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
-    assert "pass=0" in capsys.readouterr().out
-    assert not (out / "farfield_star.txt").exists()
+    captured = capsys.readouterr()
+    assert "pass=0" in captured.out and "wrote" not in captured.out
+    assert captured.err == "verification: FAIL (failed operator_identity; nothing written)\n"
+    assert not out.exists()
 
 
 def test_forward_rerun_byte_identical(tmp_path):
@@ -391,7 +454,7 @@ def test_degenerate_grid_maps_to_exit_4(tmp_path, ff_star):
     assert not list(tmp_path.glob("grid_*"))
 
 
-def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
+def test_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     # cmd_forward imports the solver when it runs, so the patch goes where it looks
     import plate_echo.forward as forward
 
@@ -400,6 +463,15 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(forward, "assemble_far_field_matrix", boom)
     assert main(["forward", "--out", str(tmp_path)]) == EXIT_SOLVER
+    monkeypatch.undo()
+    # at k = 300 the modified-Helmholtz kernels overflow: a non-finite system is
+    # a solver failure, not a degenerate output
+    cfg = tmp_path / "k300.ini"
+    cfg.write_text("[experiment]\nk = 300\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SOLVER
+    assert "assembled system overflows" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_seed_must_be_nonnegative(tmp_path):
