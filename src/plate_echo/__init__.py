@@ -22,7 +22,7 @@ _EXPORTS = {
         ("farfield", ("FarFieldMatrix", "save_farfield", "load_farfield")),
         ("oracle", ("disk_far_field_matrix",)),
         ("imaging", ("NoiseModel", "ApertureMask", "ImagingGrid", "add_noise", "apply_mask",
-                     "phi_z", "w_ip", "w_norm", "evaluate_grid")),
+                     "phi_z", "evaluate_grid")),
         ("verify", ("CheckRecord", "check_funk_hecke", "check_operator_identity",
                     "check_decay_slope", "check_equivalence_chain", "reconstruction_overlap")),
     )

@@ -216,6 +216,8 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
 def _write(files: dict) -> None:
     """writer(tmp) beside each path, then every rename; an OSError is a ConfigError and leaves none."""
     tmps, renamed = {}, []
+    umask = os.umask(0o22)                              # read it: the only way is to set it
+    os.umask(umask)
     try:
         for path, writer in files.items():
             d = os.path.dirname(os.path.abspath(path))
@@ -223,6 +225,7 @@ def _write(files: dict) -> None:
             fd, tmps[path] = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
             os.close(fd)
             writer(tmps[path])
+            os.chmod(tmps[path], 0o666 & ~umask)        # mkstemp's 0600 becomes what open() gives
         for path, tmp in tmps.items():
             os.replace(tmp, path)
             renamed.append(path)

@@ -321,8 +321,9 @@ class ScatteringSolver:
     def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
         self.k = float(k)
         self.disc = discretize(curve, n_nodes, offset=node_offset)
-        self.left, self.right = assemble_system(self.disc, self.k)
-        self.system_norm = np.hypot(np.linalg.norm(self.left), np.linalg.norm(self.right))
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+            self.left, self.right = assemble_system(self.disc, self.k)
+            self.system_norm = np.hypot(np.linalg.norm(self.left), np.linalg.norm(self.right))
         if not np.isfinite(self.system_norm):
             raise RuntimeError(f"the assembled system overflows at k={self.k:g}; nothing can be solved")
         m2 = n_nodes

@@ -176,9 +176,9 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
 
 def _validate(curve, samples: int = 4096):
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    p = curve.position(t)
-    v = curve.velocity(t)
-    if not np.all(np.isfinite(p)) or not np.all(np.isfinite(v)):
+    with np.errstate(over="ignore", invalid="ignore"):   # non-finite samples are refused below
+        p, v, a = curve.position(t), curve.velocity(t), curve.acceleration(t)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v)) and np.all(np.isfinite(a))):
         raise ValueError(f"shape {curve.kind!r}: non-finite boundary data")
     speed = np.hypot(v[:, 0], v[:, 1])
     if speed.min() <= 1e-12:

@@ -4,8 +4,8 @@ For a sampling point z and uniformly spaced directions d_1..d_N, the test
 vector is phi_z = (e^{-ik z.d_1}, ..., e^{-ik z.d_N}). The two indicators,
 both plain (unweighted) l2 expressions on the data matrix, are
 
-    w_ip(z)   = | (phi_z, F phi_z)_l2 |^rho
-    w_norm(z) = ||F phi_z||_l2^rho.
+    'ip':    | (phi_z, F phi_z)_l2 |^rho
+    'norm':  ||F phi_z||_l2^rho.
 
 Large values flag the cavity; grids are max-normalized before use. Noise is
 multiplicative per entry, F(i,j) (1 + delta R(i,j)), and partial aperture is
@@ -87,16 +87,6 @@ def phi_z(k: float, directions: np.ndarray, z) -> np.ndarray:
     return np.exp(-1j * k * (np.asarray(z, dtype=float) @ np.asarray(directions).T))
 
 
-def w_ip(ff: FarFieldMatrix, z, rho: float) -> float:
-    """Inner-product indicator |(phi_z, F phi_z)|^rho at one point."""
-    return float(indicator_values(ff, z, rho, "ip")[0])
-
-
-def w_norm(ff: FarFieldMatrix, z, rho: float) -> float:
-    """Norm indicator ||F phi_z||^rho at one point."""
-    return float(indicator_values(ff, z, rho, "norm")[0])
-
-
 def _check_indicator(rho: float, which: str) -> None:
     if which not in ("ip", "norm"):
         raise ValueError("which must be 'ip' or 'norm'")
@@ -104,33 +94,23 @@ def _check_indicator(rho: float, which: str) -> None:
         raise ValueError("rho must be positive")
 
 
-def _indicator_pairs(rho, which) -> list:
-    """The (rho, which) pairs asked for: one, or one per entry of two equal-length sequences."""
-    if isinstance(which, str):
-        pairs = [(rho, which)]
-    elif np.ndim(rho) == 1 and len(rho) == len(which):
-        pairs = list(zip(rho, which))
-    else:
-        raise ValueError("with a sequence of indicators, rho must be a sequence of the same length")
-    for r, w in pairs:
-        _check_indicator(r, w)
-    return pairs
+def _raw_indicators(entries: np.ndarray, count: int, step: int, test_vectors, names) -> dict:
+    """Raw indicators for count test vectors, taken step at a time.
 
-
-def _indicator(entries: np.ndarray, P: np.ndarray, FP: np.ndarray, names) -> dict:
-    """Raw indicators for each test vector in the rows of P, shape (m, N).
-
-    F phi_z goes into the caller's (m, N) buffer FP once; from it come
-    |(phi_z, F phi_z)| for 'ip' and ||F phi_z|| for 'norm', for each name
-    asked. vecdot conjugates its first argument in its inner loop, so the
-    reductions make no copy.
+    test_vectors(a, b) returns rows a..b-1 as a (b - a, N) block P. F phi_z
+    goes into one (step, N) buffer; from it come |(phi_z, F phi_z)| for 'ip'
+    and ||F phi_z|| for 'norm', for each name asked. vecdot conjugates its
+    first argument in its inner loop, so the reductions make no copy.
     """
-    np.matmul(P, entries.T, out=FP)                     # (F phi_z)_i per row
-    raw = {}
-    if "ip" in names:
-        raw["ip"] = np.abs(np.vecdot(P, FP))
-    if "norm" in names:
-        raw["norm"] = np.sqrt(np.vecdot(FP, FP).real)
+    raw = {name: np.empty(count) for name in names}
+    FP = np.empty((min(count, step), entries.shape[0]), dtype=complex)
+    for a in range(0, count, step):
+        P = test_vectors(a, min(a + step, count))
+        FPb = np.matmul(P, entries.T, out=FP[:len(P)])  # (F phi_z)_i per row
+        if "ip" in raw:
+            raw["ip"][a:a + len(P)] = np.abs(np.vecdot(P, FPb))
+        if "norm" in raw:
+            raw["norm"][a:a + len(P)] = np.sqrt(np.vecdot(FPb, FPb).real)
     return raw
 
 
@@ -142,17 +122,20 @@ def indicator_values(ff: FarFieldMatrix, points, rho, which):
     Points are taken INDICATOR_BLOCK // N at a time, so the (points, N)
     test-vector temporaries stay bounded however many points there are.
     """
-    pairs = _indicator_pairs(rho, which)
-    names = {w for _, w in pairs}
+    if isinstance(which, str):
+        pairs = [(rho, which)]
+    elif np.ndim(rho) == 1 and len(rho) == len(which):
+        pairs = list(zip(rho, which))
+    else:
+        raise ValueError("with a sequence of indicators, rho must be a sequence of the same length")
+    for r, w in pairs:
+        _check_indicator(r, w)
     points = np.atleast_2d(points)
-    step = max(1, INDICATOR_BLOCK // ff.n_dirs)
-    raw = {name: np.empty(len(points)) for name in names}
-    FP = np.empty((min(len(points), step), ff.n_dirs), dtype=complex)
     directions = ff.directions
-    for start in range(0, len(points), step):
-        P = phi_z(ff.k, directions, points[start:start + step])
-        for name, vals in _indicator(ff.entries, P, FP[:len(P)], names).items():
-            raw[name][start:start + len(P)] = vals
+    raw = _raw_indicators(
+        ff.entries, len(points), max(1, INDICATOR_BLOCK // ff.n_dirs),
+        lambda a, b: phi_z(ff.k, directions, points[a:b]), {w for _, w in pairs},
+    )
     values = [raw[w] ** r for r, w in pairs]
     return values[0] if isinstance(which, str) else values
 
@@ -196,15 +179,13 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     E_x = phi_z(ff.k, directions, np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, N)
     E_y = phi_z(ff.k, directions, np.stack([np.zeros(ny), ys], axis=-1))   # (ny, N)
     rows = min(ny, max(1, INDICATOR_BLOCK // (nx * ff.n_dirs)))
-    # one test-vector block and one F phi_z block, reused by every row block
-    P = np.empty((rows, nx, ff.n_dirs), dtype=complex)
-    FP = np.empty((rows * nx, ff.n_dirs), dtype=complex)
-    vals = np.empty((ny, nx))
-    for start in range(0, ny, rows):
-        E = E_y[start:start + rows, None, :]
-        Pb = np.multiply(E, E_x, out=P[:len(E)]).reshape(-1, ff.n_dirs)
-        raw = _indicator(ff.entries, Pb, FP[:len(Pb)], (which,))[which]
-        vals[start:start + len(E)] = raw.reshape(-1, nx)
+    P = np.empty((rows, nx, ff.n_dirs), dtype=complex)   # one test-vector block, reused
+
+    def row_block(a, b):                                # points a..b-1 are whole rows
+        E = E_y[a // nx:b // nx, None, :]
+        return np.multiply(E, E_x, out=P[:len(E)]).reshape(-1, ff.n_dirs)
+
+    vals = _raw_indicators(ff.entries, ny * nx, rows * nx, row_block, (which,))[which].reshape(ny, nx)
     with np.errstate(over="ignore"):                    # an inf peak is refused below
         vals = vals ** rho
     peak = vals.max()

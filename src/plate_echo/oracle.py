@@ -56,9 +56,10 @@ def _mode_ratios(a: float, k: float, order: int):
     H, Hp = hankel1(n, z), hankel1_deriv(n, z)
     K, Kp = bessel_k(n, z), bessel_k_deriv(n, z)
     J, Jp = H.real, Hp.real
-    det = H * Kp - Hp * K
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite det is refused below
+        det = H * Kp - Hp * K
     if np.any(np.abs(det) == 0.0) or np.any(~np.isfinite(det)):
-        raise RuntimeError("singular clamped-disk mode system (determinant underflow)")
+        raise RuntimeError("singular clamped-disk mode system (determinant zero or not finite)")
     ra = (Jp * K - J * Kp) / det
     rb = (Hp * J - H * Jp) / det
     # boundary contribution of the top retained mode

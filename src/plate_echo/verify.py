@@ -13,13 +13,13 @@ operator as w F, and the checks read:
     nrm2_w = w^3 ||F phi_z||^2 approximating the L2 quantities:
         (1/8pi) nrm2_w <= ip_w      and      ip_w <= sqrt(2pi) sqrt(nrm2_w),
     reported as the largest multiplicative slack (1 + eps) needed;
-  * indicator decay: the angular average of w_ip (w_norm) at radius r falls
-    like r^{-rho} (r^{-rho/2}); measured as a log-log least-squares slope.
-    Angular averaging (DECAY_RING_SAMPLES per radius) suppresses the
-    Bessel oscillation that makes single rays non-monotone. The sampled test
-    vectors resolve the radial oscillation only while k r < N/2, so decay
-    checks need a matrix with enough directions for the outermost radius
-    (guidance: min radius at least 3 cavity diameters, N > 2 k max-radius).
+  * indicator decay: the angular average of the 'ip' ('norm') indicator at
+    radius r falls like r^{-rho} (r^{-rho/2}); measured as a log-log
+    least-squares slope. Angular averaging (DECAY_RING_SAMPLES per radius)
+    suppresses the Bessel oscillation that makes single rays non-monotone.
+    The sampled test vectors resolve the radial oscillation only while
+    k r < N/2, so decay checks need enough directions for the outermost
+    radius (guidance: min radius >= 3 cavity diameters, N > 2 k max-radius).
 """
 
 from __future__ import annotations
@@ -122,9 +122,7 @@ def check_decay_slope(ff: FarFieldMatrix, which, rho, radii):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be a strictly increasing sequence")
-    ang = 2.0 * np.pi * np.arange(DECAY_RING_SAMPLES) / DECAY_RING_SAMPLES
-    ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    rings = radii[:, None, None] * ring                 # (radii, samples, 2)
+    rings = radii[:, None, None] * uniform_directions(DECAY_RING_SAMPLES)  # (radii, samples, 2)
     values = indicator_values(ff, rings.reshape(-1, 2), rho, which)
     slopes = []
     for vals in [values] if isinstance(which, str) else values:

@@ -219,16 +219,42 @@ def test_image_pgm_is_a_valid_raster(tmp_path, capsys, ff_star):
     np.testing.assert_array_equal(img, np.clip(np.rint(values * 255.0), 0, 255)[::-1])
 
 
+def test_output_modes_follow_the_umask(tmp_path, ff_star):
+    # each file gets 0o666 & ~umask, as open() would give, not mkstemp's 0o600
+    from plate_echo.forward import save_farfield
+
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    cfg = tmp_path / "pgm.ini"
+    cfg.write_text("[imaging]\nresolution = 20, 20\n[output]\nwrite_pgm = true\n")
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / f"out{umask:o}"
+        old = os.umask(umask)
+        try:
+            assert main(["forward", "--out", str(out)]) == EXIT_OK
+            assert main(["image", str(star), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        names = ["farfield_star.txt", "grid_ip.csv", "grid_ip.pgm"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert all((out / name).stat().st_mode & 0o777 == mode for name in names)
+
+
 def test_non_finite_shape_parameters_are_one_config_error(tmp_path, capsys):
     # they used to reach the curve's formulas and print numpy warnings before the error
+    # a finite star whose acceleration overflows is refused the same way
     cfg = tmp_path / "inf.ini"
-    for value in ("inf", "nan"):
-        cfg.write_text(f"[experiment]\nshape = peanut\nshape_params = {value}\n")
+    for shape, params, message in (
+        ("peanut", "inf", "shape 'peanut' parameters must be finite"),
+        ("peanut", "nan", "shape 'peanut' parameters must be finite"),
+        ("star", "1e308, 0.3, 4", "shape 'star': non-finite boundary data"),
+    ):
+        cfg.write_text(f"[experiment]\nshape = {shape}\nshape_params = {params}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "config error: shape 'peanut' parameters must be finite\n"
+        assert err == f"config error: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -464,13 +490,23 @@ def test_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(forward, "assemble_far_field_matrix", boom)
     assert main(["forward", "--out", str(tmp_path)]) == EXIT_SOLVER
     monkeypatch.undo()
+    capsys.readouterr()
     # at k = 300 the modified-Helmholtz kernels overflow: a non-finite system is
-    # a solver failure, not a degenerate output
-    cfg = tmp_path / "k300.ini"
-    cfg.write_text("[experiment]\nk = 300\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SOLVER
-    assert "assembled system overflows" in capsys.readouterr().err
+    # a solver failure, not a degenerate output; so is the small-k disk, whose
+    # mode determinant overflows. Each refusal is its one message, no warning.
+    cfg = tmp_path / "refused.ini"
+    for command, text, message in (
+        ("forward", "k = 300", "assembled system overflows at k=300"),
+        ("verify", "k = 300", "assembled system overflows at k=300"),
+        ("forward", "shape_params = 1e150, 0.3, 4", "assembled system overflows at k=4"),
+        ("oracle", "shape = circle\nk = 1e-6", "determinant zero or not finite"),
+    ):
+        cfg.write_text(f"[experiment]\n{text}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "assemble_far_field_matrix", "save_farfield", "load_farfield",
     "disk_far_field_matrix",
     "NoiseModel", "ApertureMask", "ImagingGrid",
-    "add_noise", "apply_mask", "phi_z", "w_ip", "w_norm", "evaluate_grid",
+    "add_noise", "apply_mask", "phi_z", "evaluate_grid",
     "CheckRecord", "check_funk_hecke", "check_operator_identity",
     "check_decay_slope", "check_equivalence_chain", "reconstruction_overlap",
     "__version__",

@@ -204,6 +204,9 @@ def test_coincident_nodes_rejected():
     disc = discretize(doubled, 64)
     with pytest.raises(RuntimeError):
         assemble_system(disc, K)
+    # and it refuses a wavenumber that is not positive
+    with pytest.raises(ValueError, match="k > 0"):
+        assemble_system(discretize(circle, 64), 0.0)
 
 
 def test_solve_linearity():

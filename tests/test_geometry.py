@@ -116,6 +116,13 @@ def test_invalid_parameters():
         with pytest.raises(ValueError, match="must be finite"), warnings.catch_warnings():
             warnings.simplefilter("error")
             make_curve(kind, params)
+    # finite parameters can still give a cusp or overflowing boundary data
+    for kind, params, message in (("kite", (0.65, 0.0), "not regular"),
+                                  ("ellipse", (1e200, 1e200), "non-finite boundary data"),
+                                  ("star", (1e308, 0.3, 4.0), "non-finite boundary data")):
+        with pytest.raises(ValueError, match=message), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_curve(kind, params)
 
 
 @pytest.mark.parametrize("kind", ["circle", "ellipse", "peanut", "star"])

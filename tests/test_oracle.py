@@ -1,9 +1,17 @@
 """Mode-matching disk solution: boundary conditions, symmetry, normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from plate_echo.oracle import _far_field, _mode_ratios, disk_far_field_matrix, scattered_field
+from plate_echo.oracle import (
+    _converged_modes,
+    _far_field,
+    _mode_ratios,
+    disk_far_field_matrix,
+    scattered_field,
+)
 from plate_echo.specfun import (
     bessel_j,
     bessel_k,
@@ -67,6 +75,8 @@ def test_clamped_conditions_on_boundary():
     u_scat, du_scat = scattered_field(A, K, (1.0, 0.0), pts)
     assert np.abs(u_inc + u_scat).max() < 1e-10
     assert np.abs(du_inc + du_scat).max() < 1e-9
+    with pytest.raises(ValueError, match="defined for"):
+        scattered_field(A, K, (1.0, 0.0), 0.5 * pts)
 
 
 def test_rotational_invariance(ratios):
@@ -103,6 +113,10 @@ def test_truncation_stability(ratios):
 def test_radius_precondition():
     with pytest.raises(ValueError):
         disk_far_field_matrix(-1.0, K, 32)
+    # at k a = 1e-8 the mode determinant overflows: refused, with no numpy warning
+    with pytest.raises(RuntimeError, match="determinant zero or not finite"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _converged_modes(1.0, 1e-8)
 
 
 def test_mode_amplitudes_on_identity_circle(ratios):
