@@ -2,7 +2,7 @@
 
 Commands
 --------
-    plate-echo forward  [--config CFG | --preset NAME] [--seed S] [--out DIR]
+    plate-echo forward  [--config CFG | --preset NAME] [--out DIR]
     plate-echo image    MATRIX_FILE [--config CFG | --preset NAME] [--seed S] [--out DIR]
     plate-echo verify   [--config CFG | --preset NAME]
     plate-echo oracle   [--config CFG | --preset NAME] [--out DIR]
@@ -361,19 +361,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", help="INI config file")
         sp.add_argument("--preset", choices=sorted(PRESETS), help="named benchmark setup")
-        sp.add_argument("--seed", type=int, help="override the noise seed")
-        sp.add_argument("--out", help="override the output directory")
-        if name == "image":
+        if name == "image":                       # the one command that adds noise
             sp.add_argument("matrix", help="far-field matrix file (from 'forward' or 'oracle')")
+            sp.add_argument("--seed", type=int, help="override the noise seed")
+        if name != "verify":                      # the one command that writes no file
+            sp.add_argument("--out", help="override the output directory")
     return p
 
 
 def _effective_config(args) -> ExperimentConfig:
     base = PRESETS[args.preset] if args.preset else ExperimentConfig()
     cfg = parse_config(args.config, base=base) if args.config else base.validate()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed).validate()
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
 

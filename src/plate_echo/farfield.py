@@ -25,7 +25,8 @@ class FarFieldMatrix:
         return self.entries.shape[0]
 
     @property
-    def directions(self) -> np.ndarray:    # (N, 2), theta_i = 2 pi i / N
+    def directions(self) -> np.ndarray:
+        """(N, 2) uniform directions theta_i = 2 pi i / N; imaging grids rely on them being uniform."""
         return uniform_directions(self.n_dirs)
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .farfield import FarFieldMatrix
 
-# Test-vector entries (points x N) per block: the test-vector and F phi_z blocks
-# are then 1 MB each at any N, so a block stays in a core's L2 cache from the
-# GEMM to the reduction.
+# Test-vector entries (points x N) per block of indicator_values' points: the
+# test-vector and F phi_z blocks are then 1 MB each at any N, so a block stays
+# in a core's L2 cache from the GEMM to the reduction. Grids go by rows instead.
 INDICATOR_BLOCK = 1 << 16
 
 
@@ -90,23 +90,25 @@ def phi_z(k: float, directions: np.ndarray, z) -> np.ndarray:
 def _check_indicator(rho: float, which: str) -> None:
     if which not in ("ip", "norm"):
         raise ValueError("which must be 'ip' or 'norm'")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, not {rho}")
 
 
-def _raw_indicators(entries: np.ndarray, count: int, step: int, test_vectors, names) -> dict:
-    """Raw indicators for count test vectors, taken step at a time.
+def _raw_indicators(count: int, blocks, names) -> dict:
+    """Raw indicators for count test vectors, given as (a, P, M) blocks.
 
-    test_vectors(a, b) returns rows a..b-1 as a (b - a, N) block P. F phi_z
-    goes into one (step, N) buffer; from it come |(phi_z, F phi_z)| for 'ip'
-    and ||F phi_z|| for 'norm', for each name asked. vecdot conjugates its
-    first argument in its inner loop, so the reductions make no copy.
+    Row r of P is a test vector u for value a + r, and M u is its F phi_z:
+    |(u, M u)| is 'ip' and ||M u|| is 'norm', for each name asked. M u goes
+    into one buffer sized by the first block, which must be the largest.
+    vecdot conjugates its first argument in its inner loop, so the reductions
+    make no copy.
     """
     raw = {name: np.empty(count) for name in names}
-    FP = np.empty((min(count, step), entries.shape[0]), dtype=complex)
-    for a in range(0, count, step):
-        P = test_vectors(a, min(a + step, count))
-        FPb = np.matmul(P, entries.T, out=FP[:len(P)])  # (F phi_z)_i per row
+    FP = None
+    for a, P, M in blocks:
+        if FP is None:
+            FP = np.empty((len(P), len(M)), dtype=complex)
+        FPb = np.matmul(P, M.T, out=FP[:len(P)])          # (M u)_i per row
         if "ip" in raw:
             raw["ip"][a:a + len(P)] = np.abs(np.vecdot(P, FPb))
         if "norm" in raw:
@@ -132,10 +134,10 @@ def indicator_values(ff: FarFieldMatrix, points, rho, which):
         _check_indicator(r, w)
     points = np.atleast_2d(points)
     directions = ff.directions
-    raw = _raw_indicators(
-        ff.entries, len(points), max(1, INDICATOR_BLOCK // ff.n_dirs),
-        lambda a, b: phi_z(ff.k, directions, points[a:b]), {w for _, w in pairs},
-    )
+    step = max(1, INDICATOR_BLOCK // ff.n_dirs)
+    blocks = ((a, phi_z(ff.k, directions, points[a:a + step]), ff.entries)
+              for a in range(0, len(points), step))
+    raw = _raw_indicators(len(points), blocks, {w for _, w in pairs})
     values = [raw[w] ** r for r, w in pairs]
     return values[0] if isinstance(which, str) else values
 
@@ -166,26 +168,40 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
 
     extent = (x_min, x_max, y_min, y_max); resolution = (nx, ny) with
     endpoints included. Raises unless the grid's peak is positive and finite.
+
+    The grid relies on the uniform directions theta_i = 2 pi i / N of
+    FarFieldMatrix: cos theta_i = cos theta_{N-i}, so along a grid row the
+    x factor phi_z(x, 0) of phi_z(x, y) = phi_z(x, 0) phi_z(0, y) has only
+    nc = N // 2 + 1 distinct entries, u over the representatives d_0..d_{nc-1}.
+    With e = phi_z(0, y) and Q adding entry N - i into entry i, phi_z = diag(e) Q u,
+    so a row's 'norm' is ||B u|| with B = F diag(e) Q (N x nc) and its 'ip' is
+    |u^H G u| with G = Q^T diag(conj e) B (nc x nc).
     """
     _check_indicator(rho, which)
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 2 or ny < 2:
         raise ValueError("grid resolution must be >= 2 per axis")
-    x_min, x_max, y_min, y_max = (float(v) for v in extent)
+    x_min, x_max, y_min, y_max = bounds = [float(v) for v in extent]
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError(f"grid extent must be finite, not {tuple(bounds)}")
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
-    # phi_z(x, y) = phi_z(x, 0) * phi_z(0, y): (nx + ny) N exponentials, not nx ny N
+    n, nc = ff.n_dirs, ff.n_dirs // 2 + 1
     directions = ff.directions
-    E_x = phi_z(ff.k, directions, np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, N)
-    E_y = phi_z(ff.k, directions, np.stack([np.zeros(ny), ys], axis=-1))   # (ny, N)
-    rows = min(ny, max(1, INDICATOR_BLOCK // (nx * ff.n_dirs)))
-    P = np.empty((rows, nx, ff.n_dirs), dtype=complex)   # one test-vector block, reused
+    U = phi_z(ff.k, directions[:nc], np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, nc)
+    E_y = phi_z(ff.k, directions, np.stack([np.zeros(ny), ys], axis=-1))      # (ny, N)
 
-    def row_block(a, b):                                # points a..b-1 are whole rows
-        E = E_y[a // nx:b // nx, None, :]
-        return np.multiply(E, E_x, out=P[:len(E)]).reshape(-1, ff.n_dirs)
+    def fold(A, e):              # A diag(e) Q: classes 1..N-nc also take columns N-1..nc
+        out = A[:, :nc] * e[:nc]
+        out[:, 1:n - nc + 1] += A[:, :nc - 1:-1] * e[:nc - 1:-1]
+        return out
 
-    vals = _raw_indicators(ff.entries, ny * nx, rows * nx, row_block, (which,))[which].reshape(ny, nx)
+    def row_matrix(e):
+        B = fold(ff.entries, e)
+        return B if which == "norm" else fold(B.T, e.conj()).T
+
+    blocks = ((iy * nx, U, row_matrix(e)) for iy, e in enumerate(E_y))
+    vals = _raw_indicators(ny * nx, blocks, (which,))[which].reshape(ny, nx)
     with np.errstate(over="ignore"):                    # an inf peak is refused below
         vals = vals ** rho
     peak = vals.max()

@@ -460,7 +460,8 @@ def test_k_zero_is_config_error(tmp_path):
     # a NaN k passes "k <= 0"; it must still be a config error, not a solver one
     cfg.write_text("[experiment]\nshape = circle\nk = nan\n")
     for command in ("forward", "verify", "oracle"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        out = [] if command == "verify" else ["--out", str(tmp_path)]
+        assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
     assert not list(tmp_path.glob("farfield_*"))
 
 
@@ -502,13 +503,32 @@ def test_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
         ("oracle", "shape = circle\nk = 1e-6", "determinant zero or not finite"),
     ):
         cfg.write_text(f"[experiment]\n{text}\n")
+        out = [] if command == "verify" else ["--out", str(tmp_path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SOLVER
+            assert main([command, "--config", str(cfg), *out]) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-def test_seed_must_be_nonnegative(tmp_path):
-    assert main(["forward", "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+def test_seed_must_be_nonnegative(tmp_path, capsys, ff_star):
+    from plate_echo.forward import save_farfield
+
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    assert main(["image", str(star), "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("grid_*"))
+
+
+def test_options_a_command_does_not_use_are_usage_errors(tmp_path, capsys):
+    # verify writes no file and only image adds noise: the parser refuses the
+    # option instead of ignoring it
+    for argv in (["verify", "--out", str(tmp_path)], ["oracle", "--seed", "5"],
+                 ["forward", "--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

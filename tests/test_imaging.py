@@ -24,6 +24,8 @@ from plate_echo.imaging import (
     save_grid_csv,
     save_grid_pgm,
 )
+from plate_echo.oracle import _converged_modes, disk_far_field_matrix
+from plate_echo.specfun import bessel_j
 
 K = 4.0
 EXTENT = (-4.0, 4.0, -4.0, 4.0)
@@ -31,6 +33,15 @@ EXTENT = (-4.0, 4.0, -4.0, 4.0)
 
 def _identity_ff(n=64):
     return FarFieldMatrix(k=K, entries=np.eye(n, dtype=complex))
+
+
+def _explicit_indicator(ff, points, which):
+    """Raw indicator (rho = 1) from the unblocked (points, N) test vectors P."""
+    P = np.exp(-1j * ff.k * (points @ ff.directions.T))
+    FP = P @ ff.entries.T
+    if which == "ip":
+        return np.abs(np.sum(np.conj(P) * FP, axis=1))
+    return np.sqrt(np.sum(np.abs(FP) ** 2, axis=1))
 
 
 class TestNoise:
@@ -144,6 +155,12 @@ class TestIndicators:
             indicator_values(ff_star, (0, 0), 0.0, "ip")[0]
         with pytest.raises(ValueError):
             indicator_values(ff_star, (0, 0), -1.0, "norm")[0]
+        # a non-finite rho passes "rho <= 0"; it is refused before any work
+        for rho in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="rho"):
+                indicator_values(ff_star, (0.5, 0.5), rho, "ip")
+            with pytest.raises(ValueError, match="rho"):
+                evaluate_grid(ff_star, EXTENT, (10, 10), rho, "norm")
 
     def test_batch_matches_scalar(self, ff_star):
         pts = np.array([[0.0, 0.0], [1.0, -2.0], [3.3, 0.4]])
@@ -233,15 +250,18 @@ class TestGrid:
     def test_resolution_precondition(self, ff_star):
         with pytest.raises(ValueError):
             evaluate_grid(ff_star, EXTENT, (1, 10), 4.0, "ip")
+        for bad in ((-4.0, np.nan, -4.0, 4.0), (-4.0, 4.0, -np.inf, 4.0)):
+            with pytest.raises(ValueError, match="extent"):
+                evaluate_grid(ff_star, bad, (10, 10), 4.0, "ip")
 
     @pytest.mark.parametrize("block", [16, INDICATOR_BLOCK, 4096])
     @pytest.mark.parametrize("resolution", [(7, 5), (301, 3), (40, 37)])
     @pytest.mark.parametrize("which, rho", [("ip", 4.0), ("norm", 8.0)])
     def test_grid_matches_pointwise_indicator(self, ff_star, monkeypatch, block,
                                               resolution, which, rho):
-        # the separable grid phases against phi_z at every grid point; at N = 64
-        # a block of 16 entries holds one point (one grid row), and 4096 and
-        # the default leave partial last blocks
+        # the folded grid rows against phi_z at every grid point; the block size
+        # sets indicator_values' blocks only: at N = 64 a block of 16 entries
+        # holds one point, and 4096 and the default leave partial last blocks
         monkeypatch.setattr(imaging, "INDICATOR_BLOCK", block)
         grid = evaluate_grid(ff_star, (-3.0, 2.5, -1.5, 4.0), resolution, rho, which)
         assert grid.values.shape == resolution[::-1]
@@ -251,20 +271,51 @@ class TestGrid:
 
     @pytest.mark.parametrize("which", ["ip", "norm"])
     def test_indicator_core_matches_explicit_formulas(self, ff_star, monkeypatch, which):
-        # a 23 x 17 grid with 50-point blocks: grids take 2 rows per block and
-        # indicator_values 50 points, so both last blocks are shorter than the buffers
+        # a 23 x 17 grid with 50-point blocks: grids take one row per block and
+        # indicator_values 50 points, so its last block is shorter than the buffer
         monkeypatch.setattr(imaging, "INDICATOR_BLOCK", 50 * ff_star.n_dirs)
         grid = evaluate_grid(ff_star, (-3.0, 2.5, -1.5, 4.0), (23, 17), 1.0, which)
-        P = np.exp(-1j * K * (grid.points() @ ff_star.directions.T))
-        FP = P @ ff_star.entries.T
-        if which == "ip":
-            explicit = np.abs(np.sum(np.conj(P) * FP, axis=1))
-        else:
-            explicit = np.sqrt(np.sum(np.abs(FP) ** 2, axis=1))
+        explicit = _explicit_indicator(ff_star, grid.points(), which)
         values = indicator_values(ff_star, grid.points(), 1.0, which)
         assert np.max(np.abs(values - explicit) / explicit) <= 1e-13
         normalized = (explicit / explicit.max()).reshape(grid.values.shape)
         assert np.max(np.abs(grid.values - normalized) / normalized) <= 1e-13
+
+    @pytest.mark.parametrize("n_dirs", [4, 5, 6, 64, 65])
+    @pytest.mark.parametrize("which", ["ip", "norm"])
+    def test_grid_fold_holds_for_any_matrix(self, which, n_dirs):
+        # the fold of direction i onto N - i uses only the directions, not
+        # reciprocity of the data: a random complex matrix with a masked
+        # aperture covers class 0, the lone class N/2 of even N, and odd N
+        rng = np.random.default_rng(n_dirs)
+        entries = rng.standard_normal((n_dirs, n_dirs)) + 1j * rng.standard_normal((n_dirs, n_dirs))
+        mask = ApertureMask(receiver_rows=(2,), source_cols=(n_dirs,))
+        ff = apply_mask(FarFieldMatrix(k=K, entries=entries), mask)
+        grid = evaluate_grid(ff, (-3.0, 2.5, -1.5, 4.0), (19, 13), 1.0, which)
+        explicit = _explicit_indicator(ff, grid.points(), which)
+        normalized = (explicit / explicit.max()).reshape(grid.values.shape)
+        assert np.max(np.abs(grid.values - normalized) / normalized) <= 1e-13
+
+    @pytest.mark.parametrize("a, k, n_dirs", [(1.0, 4.0, 128), (1.0, 4.0, 64),
+                                              (0.5, 2.0, 65), (1.3, 8.0, 256)])
+    @pytest.mark.parametrize("which", ["ip", "norm"])
+    def test_grid_matches_disk_closed_forms(self, a, k, n_dirs, which):
+        # Jacobi-Anger on F_ij = -4i sum_n ra_n e^{in(theta_i - theta_j)} gives
+        # (phi_z, F phi_z) = -4i N^2 sum_n ra_n J_n(k|z|)^2 and
+        # ||F phi_z|| = 4 N^{3/2} (sum_n |ra_n|^2 J_n(k|z|)^2)^{1/2}
+        # while k|z| <= N/4, before the directions alias
+        half = n_dirs / (6.0 * k)                  # k|z| <= sqrt(2) N / 6 on the grid
+        ff = disk_far_field_matrix(a, k, n_dirs)
+        grid = evaluate_grid(ff, (-half, 0.9 * half, -0.8 * half, half), (31, 23), 1.0, which)
+        order, ra, _ = _converged_modes(a, k)
+        kr = k * np.hypot(*grid.points().T)
+        J2 = bessel_j(np.arange(-order, order + 1)[:, None], kr[None, :]) ** 2
+        if which == "ip":
+            exact = np.abs(-4j * n_dirs**2 * (ra @ J2))
+        else:
+            exact = 4.0 * n_dirs**1.5 * np.sqrt(np.abs(ra) ** 2 @ J2)
+        normalized = (exact / exact.max()).reshape(grid.values.shape)
+        assert np.max(np.abs(grid.values - normalized)) <= 1e-12
 
     def test_translation_covariance(self, ff_star):
         v = np.array([0.5, -0.3])
