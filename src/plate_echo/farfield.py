@@ -6,10 +6,15 @@ or scipy.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+# Entry lines per parsing block of load_farfield: about 2^16 lines, a 2 MB
+# table of four columns, whatever N is.
+LOAD_BLOCK_LINES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,10 @@ def load_farfield(path) -> FarFieldMatrix:
 
     The body must be exactly N^2 lines of four tokens 'i j re im' with 1-based
     indices in row-major order (blank lines are skipped), and finite values
-    with a positive, finite k; anything else raises ValueError.
+    with a positive, finite k; anything else raises ValueError. A file too
+    short to hold N^2 lines is refused before anything is allocated. The body
+    is parsed LOAD_BLOCK_LINES lines at a time straight into the result, so
+    besides the entries only one block's table is held.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -72,15 +80,23 @@ def load_farfield(path) -> FarFieldMatrix:
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad far-field header {header!r}") from exc
         kind = meta.get("shape", "")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")                # an empty body is caught below
-            rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
-    if rows.shape != (n * n, 4):
-        raise ValueError(f"expected {n * n} entries of 4 values, found {rows.shape[0]}")
-    if not np.all(np.isfinite(rows[:, 2:])):
-        raise ValueError("far-field entries must be finite")
-    i, j = np.divmod(np.arange(n * n), n)
-    if not (np.array_equal(rows[:, 0], i + 1) and np.array_equal(rows[:, 1], j + 1)):
-        raise ValueError("far-field entries are not 'i j' in 1-based row-major order")
-    entries = np.ascontiguousarray(rows[:, 2:]).view(complex).reshape(n, n)
-    return FarFieldMatrix(k=k, entries=entries, shape_kind=kind)
+        count = n * n
+        if os.fstat(fh.fileno()).st_size < 8 * count:     # '1 1 0 0\n' is the shortest line
+            raise ValueError(f"file too short for the {count} entries of an N={n} header")
+        values = np.empty((count, 2))
+        for a in range(0, count, LOAD_BLOCK_LINES):
+            b = min(a + LOAD_BLOCK_LINES, count)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")            # an empty block is caught below
+                rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, max_rows=b - a)
+            if rows.shape != (b - a, 4):
+                raise ValueError(f"expected {count} entries of 4 values, found {a + len(rows)}")
+            if not np.all(np.isfinite(rows[:, 2:])):
+                raise ValueError("far-field entries must be finite")
+            i, j = np.divmod(np.arange(a, b), n)
+            if not (np.array_equal(rows[:, 0], i + 1) and np.array_equal(rows[:, 1], j + 1)):
+                raise ValueError("far-field entries are not 'i j' in 1-based row-major order")
+            values[a:b] = rows[:, 2:]
+        if any(line.strip() for line in fh):
+            raise ValueError(f"text after the {count} entries")
+    return FarFieldMatrix(k=k, entries=values.view(complex).reshape(n, n), shape_kind=kind)

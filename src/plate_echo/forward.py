@@ -76,6 +76,8 @@ def discretize(curve: ParametricCurve, n_nodes: int, offset: float = 0.0) -> Bou
     """Sample the curve at 2n equispaced nodes (optionally phase-shifted)."""
     if n_nodes < 16 or n_nodes % 2:
         raise ValueError("n_nodes must be an even integer >= 16")
+    if not np.isfinite(offset):
+        raise ValueError(f"the node offset must be finite, got {offset!r}")
     t = offset + np.pi * np.arange(n_nodes) / (n_nodes // 2)
     x = curve.position(t)
     v = curve.velocity(t)
@@ -113,7 +115,8 @@ def kress_log_weights(half: int) -> np.ndarray:
 
 # Node rows per assembly block: ceil(n_nodes / KERNEL_ROW_BLOCKS). The system
 # is built one block of rows at a time, so every pairwise array (geometry,
-# kernels, split products) has a block's size, not the full n_nodes^2.
+# kernels, split products) has a block's size, not the full n_nodes^2. The
+# Schur complement is built in as many column blocks, for the same reason.
 KERNEL_ROW_BLOCKS = 16
 
 
@@ -237,8 +240,8 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
     """
-    if k <= 0:
-        raise ValueError("assemble_system requires k > 0")
+    if not 0 < k < np.inf:
+        raise ValueError(f"assemble_system requires a finite k > 0, got k={k!r}")
     m2 = disc.n_nodes
     speed = disc.speed
     w = np.pi / disc.half
@@ -316,6 +319,8 @@ class ScatteringSolver:
     reuses the factorization, so any number of direction sets cost one
     assembly, and each solve is checked against the full system. The system
     is held once, as `left` = [A11; A21] (complex) and `right` = [A12; A22].
+    S is written into its own buffer one column block at a time and factored
+    there, so no full-size temporary is made on the way.
     """
 
     def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
@@ -330,11 +335,17 @@ class ScatteringSolver:
         self.lu22 = lu_factor(self.right[m2:], check_finite=False)
         # W = A12 A22^-1 from A22^T W^T = A12^T
         self.W = lu_solve(self.lu22, self.right[:m2].T, trans=1).T
-        # S = A11 - W A21: W times the interleaved (re, im) columns of A21 is one real GEMM.
-        # S is Fortran-ordered so LAPACK factors it in place; non-finite entries (a
-        # singular A22) flow on to the finiteness check in solve.
-        S = np.array(self.left[:m2], order="F")
-        S -= (self.W @ self.left[m2:].view(float)).view(complex)
+        # S = A11 - W A21, one column block at a time: W times a block's interleaved
+        # (re, im) columns of A21 is one real GEMM. S is Fortran-ordered so LAPACK
+        # factors it in place; non-finite entries (a singular A22) flow on to the
+        # finiteness check in solve.
+        S = np.empty((m2, m2), dtype=complex, order="F")
+        A21 = self.left[m2:].view(float)
+        step = -(-m2 // KERNEL_ROW_BLOCKS)
+        for a in range(0, m2, step):
+            b = min(a + step, m2)
+            np.subtract(self.left[:m2, a:b], (self.W @ A21[:, 2 * a:2 * b]).view(complex),
+                        out=S[:, a:b])
         self.lu_schur = lu_factor(S, overwrite_a=True, check_finite=False)
 
     def solve(self, directions):

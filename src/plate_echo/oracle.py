@@ -79,8 +79,8 @@ def _converged_modes(a: float, k: float):
     The order starts at ceil(ka) + 24 and grows by ORDER_STEP until the tail
     converges, giving up after MAX_ORDER_STEPS steps.
     """
-    if a <= 0 or k <= 0:
-        raise ValueError("the disk problem requires a > 0 and k > 0")
+    if not (0 < a < np.inf and 0 < k < np.inf):
+        raise ValueError(f"the disk problem requires finite a > 0 and k > 0, got a={a!r}, k={k!r}")
     start = int(np.ceil(k * a)) + 24
     for order in range(start, start + (MAX_ORDER_STEPS + 1) * ORDER_STEP, ORDER_STEP):
         ra, rb, tail = _mode_ratios(a, k, order)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from plate_echo import forward, specfun
+from plate_echo import farfield, forward, specfun
 from plate_echo.forward import (
     FarFieldMatrix,
     ScatteringSolver,
@@ -165,6 +165,33 @@ def test_solver_holds_each_block_once():
         tracemalloc.stop()
     assert not hasattr(solver, "system")
     assert current <= 84 * m2**2
+
+
+def test_solver_init_holds_no_full_size_temporary():
+    # S = A11 - W A21 is built in its own buffer one column block at a time,
+    # with no copy of A11 and no whole W A21 product
+    m2 = 256
+    tracemalloc.start()
+    try:
+        solver = ScatteringSolver(make_curve("star"), K, m2)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solver.lu_schur[0].nbytes == 16 * m2**2
+    assert peak - current <= 0.5 * 16 * m2**2
+
+
+@pytest.mark.parametrize("make", [
+    lambda star: ScatteringSolver(star, np.nan, 64),
+    lambda star: ScatteringSolver(star, np.inf, 64),
+    lambda star: ScatteringSolver(star, K, 64, node_offset=np.nan),
+    lambda star: ScatteringSolver(star, K, 64, node_offset=-np.inf),
+], ids=["k-nan", "k-inf", "offset-nan", "offset-inf"])
+def test_solver_refuses_non_finite_input(make):
+    # refused by name before any work, with no numpy warning on the way
+    with pytest.raises(ValueError, match="nan|inf"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make(make_curve("star"))
 
 
 def test_modified_helmholtz_blocks_are_real():
@@ -423,7 +450,20 @@ def _five_then_three(lines):
     lines[3] = lines[3].split(" ", 1)[1]
 
 
-@pytest.mark.parametrize("edit", [
+def _extra_line(lines):
+    lines.append(lines[-1])
+
+
+def _missing_last_line(lines):
+    del lines[-1]
+
+
+def _huge_header(lines):
+    # 16 lines cannot hold 10^12 entries: refused before the (N^2, 2) buffer is allocated
+    lines[0] = lines[0].replace("N=4", "N=1000000")
+
+
+MISFORMATTED = pytest.mark.parametrize("edit", [
     _set_index(16, 0, 0),        # index 0: used to land in entries[-1, -1]
     _set_index(16, -1, 4),       # a negative index wrapped the same way
     _set_index(3, 1, 5),         # above N: used to raise IndexError
@@ -436,14 +476,74 @@ def _five_then_three(lines):
     _five_tokens,
     _five_then_three,
     _header_only,
+    _extra_line,
+    _missing_last_line,
+    _huge_header,
 ], ids=["index-0", "negative", "column-above-n", "row-above-n", "duplicate", "swapped",
-        "non-numeric", "nan-entry", "inf-entry", "five-tokens", "five-then-three", "header-only"])
-def test_farfield_file_rejects_misformatted_body(tmp_path, edit):
-    path = _edited(tmp_path, edit)
+        "non-numeric", "nan-entry", "inf-entry", "five-tokens", "five-then-three", "header-only",
+        "extra-line", "missing-last-line", "huge-header"])
+
+
+def _refuses(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")       # a refusal is the error alone, no warning
         with pytest.raises(ValueError):
             load_farfield(path)
+
+
+@MISFORMATTED
+def test_farfield_file_rejects_misformatted_body(tmp_path, edit):
+    _refuses(_edited(tmp_path, edit))
+
+
+@MISFORMATTED
+def test_farfield_file_rejects_misformatted_body_in_small_blocks(tmp_path, monkeypatch, edit):
+    # 7-line blocks end inside the 4-entry rows, so every check meets a block edge
+    monkeypatch.setattr(farfield, "LOAD_BLOCK_LINES", 7)
+    _refuses(_edited(tmp_path, edit))
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_farfield_file_round_trip_in_small_blocks(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(farfield, "LOAD_BLOCK_LINES", 7)
+    ff = _small_matrix(n)
+    path = tmp_path / "ff.txt"
+    save_farfield(ff, path)
+    back = load_farfield(path)
+    # bit-exact, the sign of zero included
+    assert np.array_equal(back.entries.view(np.uint64), ff.entries.view(np.uint64))
+
+
+def test_farfield_file_skips_blank_lines_between_entries(tmp_path, monkeypatch):
+    monkeypatch.setattr(farfield, "LOAD_BLOCK_LINES", 7)
+    ff = _small_matrix()
+    path = tmp_path / "ff.txt"
+    save_farfield(ff, path)
+    lines = path.read_text().splitlines()
+    # blank lines after the header, at a block edge (after entry 7), mid-block and at the end
+    for at in (17, 12, 8, 1):
+        lines.insert(at, "")
+    path.write_text("\n".join(lines) + "\n\n")
+    assert np.array_equal(load_farfield(path).entries.view(np.uint64), ff.entries.view(np.uint64))
+
+
+def test_farfield_load_peak_memory_is_near_the_entries(tmp_path, monkeypatch):
+    # the body is parsed block by block straight into the result, so besides
+    # the entries only one 4096-line block and its index checks are held
+    monkeypatch.setattr(farfield, "LOAD_BLOCK_LINES", 4096)
+    n = 256
+    rng = np.random.default_rng(0)
+    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    path = tmp_path / "ff.txt"
+    save_farfield(FarFieldMatrix(k=K, entries=entries), path)
+    tracemalloc.start()
+    try:
+        back = load_farfield(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.entries, entries)
+    assert peak <= 1.5 * entries.nbytes
 
 
 def test_other_shapes_satisfy_identity():

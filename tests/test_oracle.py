@@ -119,6 +119,14 @@ def test_radius_precondition():
         _converged_modes(1.0, 1e-8)
 
 
+@pytest.mark.parametrize("a, k", [(1.0, np.inf), (1.0, np.nan), (np.nan, K), (np.inf, K)])
+def test_disk_refuses_non_finite_radius_or_wavenumber(a, k):
+    # refused by name before int(ceil(k a)) can meet an infinity or a NaN
+    with pytest.raises(ValueError, match="nan|inf"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        disk_far_field_matrix(a, k, 16)
+
+
 def test_mode_amplitudes_on_identity_circle(ratios):
     # per-mode consequence of the far-field operator identity: each far-field
     # mode amplitude mu_n = -4i a_n/c_n satisfies |mu_n - 2i| = 2
