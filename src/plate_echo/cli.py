@@ -394,8 +394,8 @@ def main(argv=None) -> int:
         for line in (*lines, *(f"wrote {path}" for path in files)):
             print(line)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:   # a config too large for memory is a config error
+        print(f"config error: {str(exc) or 'not enough memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -79,9 +79,7 @@ def discretize(curve: ParametricCurve, n_nodes: int, offset: float = 0.0) -> Bou
     if not np.isfinite(offset):
         raise ValueError(f"the node offset must be finite, got {offset!r}")
     t = offset + np.pi * np.arange(n_nodes) / (n_nodes // 2)
-    x = curve.position(t)
-    v = curve.velocity(t)
-    a = curve.acceleration(t)
+    x, v, a = curve.frame(t)
     speed = np.hypot(v[:, 0], v[:, 1])
     nraw = np.stack([v[:, 1], -v[:, 0]], axis=-1)
     ndotxpp = nraw[:, 0] * a[:, 0] + nraw[:, 1] * a[:, 1]
@@ -236,7 +234,8 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     upper trapezoid [a:b, a:] and fills those entries of all four blocks; the
     mirrored block [b:, a:b] takes the same kernel values transposed and its
     own geometry. So the kernels are evaluated once per symmetric node pair,
-    and besides the result only the Maue product's FFT buffer is full size.
+    and besides the result only the Maue product's FFT buffer, its kappa
+    weights and the real nu_i . nu_j matrix nunu are n_nodes x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
     """

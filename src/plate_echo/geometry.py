@@ -1,9 +1,10 @@
 """Analytic closed boundary curves for the cavity shapes.
 
-A curve is a 2pi-periodic counterclockwise parametrization t -> x(t) with
-closed-form velocity and acceleration, which is everything the quadrature
-needs: with n(t) = (x2'(t), -x1'(t)) the outward (unnormalized) normal, the
-unit normal is n/|x'| and the arclength Jacobian is |x'|.
+A curve is a 2pi-periodic counterclockwise parametrization t -> x(t) whose one
+evaluator, frame(t), returns x, x' and x'' in closed form. That is everything
+the quadrature needs: with n(t) = (x2'(t), -x1'(t)) the outward (unnormalized)
+normal, the unit normal is n/|x'| and the arclength Jacobian is |x'|. A radial
+shape is x(t) = r(t) (cos t, sin t), built from its polar(th) -> (r, r', r'').
 
 Named shapes:
 
@@ -25,8 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-SHAPE_KINDS = ("circle", "ellipse", "peanut", "star", "kite")
-
 _DEFAULT_PARAMS = {
     "circle": (1.0,),
     "ellipse": (1.0, 0.6),
@@ -35,35 +34,32 @@ _DEFAULT_PARAMS = {
     "kite": (0.65, 1.5),
 }
 
+SHAPE_KINDS = tuple(_DEFAULT_PARAMS)
+
 
 @dataclass(frozen=True)
 class ParametricCurve:
-    """Closed analytic curve with position/velocity/acceleration evaluators."""
+    """Closed analytic curve: frame(t) -> (x, x', x''); polar(th) -> (r, r', r''), None for the kite."""
 
     kind: str
     params: tuple
-    _pos: Callable = field(repr=False, compare=False, default=None)
-    _vel: Callable = field(repr=False, compare=False, default=None)
-    _acc: Callable = field(repr=False, compare=False, default=None)
-    _r: Callable = field(repr=False, compare=False, default=None)   # r(theta); None for the kite
+    _frame: Callable = field(repr=False, compare=False, default=None)
+    _polar: Callable = field(repr=False, compare=False, default=None)
+
+    def frame(self, t):
+        return self._frame(np.asarray(t, dtype=float))
 
     def position(self, t):
-        return self._pos(np.asarray(t, dtype=float))
-
-    def velocity(self, t):
-        return self._vel(np.asarray(t, dtype=float))
-
-    def acceleration(self, t):
-        return self._acc(np.asarray(t, dtype=float))
+        return self.frame(t)[0]
 
     def contains(self, points) -> np.ndarray:
         """Boolean mask of points strictly inside the curve."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._r is None:
-            return _polygon_contains(self._pos, pts)
+        if self._polar is None:
+            return _polygon_contains(self.position, pts)
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        return r < self._r(th)
+        return r < self._polar(th)[0]
 
     def diameter(self) -> float:
         """Max pairwise distance between boundary points (512-node estimate)."""
@@ -73,55 +69,46 @@ class ParametricCurve:
 
 
 def _radial(kind, params):
-    """Check a radial shape's parameters and return (r, r', r'') as functions of the polar angle."""
+    """Check a radial shape's parameters and return its polar(th) -> (r, r', r'')."""
     if kind == "circle":
         (a,) = params
         if a <= 0:
             raise ValueError("circle radius must be positive")
-        return (lambda th: np.full_like(np.asarray(th, dtype=float), a),
-                lambda th: np.zeros_like(th), lambda th: np.zeros_like(th))
+        return lambda th: (np.full_like(th, a), np.zeros_like(th), np.zeros_like(th))
     if kind == "ellipse":
         a, b = params
         if a <= 0 or b <= 0:
             raise ValueError("ellipse semi-axes must be positive")
 
         # r(th)^2 = a^2 b^2 / q(th); differentiate q = (b cos)^2 + (a sin)^2.
-        def dr(th):
-            q = (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2
-            dq = (a * a - b * b) * np.sin(2.0 * th)
-            return -0.5 * a * b * dq * q ** -1.5
-
-        def ddr(th):
+        def polar(th):
             q = (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2
             dq = (a * a - b * b) * np.sin(2.0 * th)
             ddq = 2.0 * (a * a - b * b) * np.cos(2.0 * th)
-            return a * b * (0.75 * dq * dq / q - 0.5 * ddq) * q ** -1.5
+            return (a * b / np.sqrt(q), -0.5 * a * b * dq * q ** -1.5,
+                    a * b * (0.75 * dq * dq / q - 0.5 * ddq) * q ** -1.5)
 
-        return (lambda th: a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2), dr, ddr)
+        return polar
     if kind == "peanut":
         (s,) = params
         if s <= 0:
             raise ValueError("peanut scale must be positive")
 
-        def dr(th):
-            q = 3.0 * np.cos(th) ** 2 + 1.0
-            return -0.75 * s * np.sin(2.0 * th) / np.sqrt(q)
-
-        def ddr(th):
+        def polar(th):
             q = 3.0 * np.cos(th) ** 2 + 1.0
             dq = -3.0 * np.sin(2.0 * th)
-            return -0.75 * s * (2.0 * np.cos(2.0 * th) / np.sqrt(q)
-                                - 0.5 * np.sin(2.0 * th) * dq * q ** -1.5)
+            return (0.5 * s * np.sqrt(q), -0.75 * s * np.sin(2.0 * th) / np.sqrt(q),
+                    -0.75 * s * (2.0 * np.cos(2.0 * th) / np.sqrt(q)
+                                 - 0.5 * np.sin(2.0 * th) * dq * q ** -1.5))
 
-        return (lambda th: 0.5 * s * np.sqrt(3.0 * np.cos(th) ** 2 + 1.0), dr, ddr)
+        return polar
     s, amp, m = params                                  # star
     if s <= 0:
         raise ValueError("star scale must be positive")
     if not abs(amp) < 1:
         raise ValueError("star amplitude must satisfy |amp| < 1 so r > 0")
-    return (lambda th: s * (1.0 + amp * np.cos(m * th)),
-            lambda th: -s * amp * m * np.sin(m * th),
-            lambda th: -s * amp * m * m * np.cos(m * th))
+    return lambda th: (s * (1.0 + amp * np.cos(m * th)), -s * amp * m * np.sin(m * th),
+                       -s * amp * m * m * np.cos(m * th))
 
 
 def make_curve(kind: str, params=None) -> ParametricCurve:
@@ -138,38 +125,25 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
 
     if kind == "kite":
         a, b = params
-        r = None
+        polar = None
 
-        def pos(t):
-            return np.stack([np.cos(t) + a * np.cos(2.0 * t) - a, b * np.sin(t)], axis=-1)
-
-        def vel(t):
-            return np.stack([-np.sin(t) - 2.0 * a * np.sin(2.0 * t), b * np.cos(t)], axis=-1)
-
-        def acc(t):
-            return np.stack([-np.cos(t) - 4.0 * a * np.cos(2.0 * t), -b * np.sin(t)], axis=-1)
+        def frame(t):
+            c, s, c2, s2 = np.cos(t), np.sin(t), np.cos(2.0 * t), np.sin(2.0 * t)
+            return (np.stack([c + a * c2 - a, b * s], axis=-1),
+                    np.stack([-s - 2.0 * a * s2, b * c], axis=-1),
+                    np.stack([-c - 4.0 * a * c2, -b * s], axis=-1))
 
     else:
-        r, dr, ddr = _radial(kind, params)
+        polar = _radial(kind, params)
 
-        def pos(t):
+        def frame(t):
             c, s = np.cos(t), np.sin(t)
-            return np.stack([r(t) * c, r(t) * s], axis=-1)
+            r, dr, ddr = polar(t)
+            return (np.stack([r * c, r * s], axis=-1),
+                    np.stack([dr * c - r * s, dr * s + r * c], axis=-1),
+                    np.stack([(ddr - r) * c - 2.0 * dr * s, (ddr - r) * s + 2.0 * dr * c], axis=-1))
 
-        def vel(t):
-            c, s = np.cos(t), np.sin(t)
-            rt, drt = r(t), dr(t)
-            return np.stack([drt * c - rt * s, drt * s + rt * c], axis=-1)
-
-        def acc(t):
-            c, s = np.cos(t), np.sin(t)
-            rt, drt, ddrt = r(t), dr(t), ddr(t)
-            return np.stack(
-                [(ddrt - rt) * c - 2.0 * drt * s, (ddrt - rt) * s + 2.0 * drt * c],
-                axis=-1,
-            )
-
-    curve = ParametricCurve(kind=kind, params=params, _pos=pos, _vel=vel, _acc=acc, _r=r)
+    curve = ParametricCurve(kind=kind, params=params, _frame=frame, _polar=polar)
     _validate(curve)
     return curve
 
@@ -177,7 +151,7 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
 def _validate(curve, samples: int = 4096):
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):   # non-finite samples are refused below
-        p, v, a = curve.position(t), curve.velocity(t), curve.acceleration(t)
+        p, v, a = curve.frame(t)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v)) and np.all(np.isfinite(a))):
         raise ValueError(f"shape {curve.kind!r}: non-finite boundary data")
     speed = np.hypot(v[:, 0], v[:, 1])
@@ -185,16 +159,19 @@ def _validate(curve, samples: int = 4096):
         raise ValueError(f"shape {curve.kind!r}: parametrization is not regular (|x'| ~ 0)")
 
 
-def _polygon_contains(pos, pts, nodes: int = 1024):
-    # Even-odd crossing test against a dense polygonal sampling of the curve.
+def _polygon_contains(position, pts, nodes: int = 1024):
+    # Even-odd crossing test against a dense polygonal sampling of the curve,
+    # `nodes` points per pass so the pairwise arrays stay nodes x nodes.
     t = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
-    poly = pos(t)
+    poly = position(t)
     x0, y0 = poly[:, 0], poly[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    px = pts[:, 0][:, None]
-    py = pts[:, 1][:, None]
-    straddles = (y0[None, :] > py) != (y1[None, :] > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / (y1 - y0)[None, :]
-    hits = straddles & (px < xcross)
-    return (hits.sum(axis=1) % 2) == 1
+    inside = np.empty(len(pts), dtype=bool)
+    for i in range(0, len(pts), nodes):
+        px, py = pts[i:i + nodes, :1], pts[i:i + nodes, 1:]
+        straddles = (y0[None, :] > py) != (y1[None, :] > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / (y1 - y0)[None, :]
+        hits = straddles & (px < xcross)
+        inside[i:i + nodes] = (hits.sum(axis=1) % 2) == 1
+    return inside

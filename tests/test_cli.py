@@ -512,6 +512,46 @@ def test_solver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_unconverged_oracle_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    import plate_echo.oracle as oracle
+
+    # no mode tail is ever exactly zero, so the order search gives up
+    monkeypatch.setattr(oracle, "MODE_TAIL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="mode tail not converged"):
+        oracle._converged_modes(1.0, 4.0)
+    cfg = tmp_path / "circle.ini"
+    cfg.write_text("[experiment]\nshape = circle\n")
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: mode tail not converged") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch, ff_star):
+    # a config too large for memory ends in one config-error line, not a
+    # traceback; nothing is allocated here, the calls raise as numpy would
+    import plate_echo.cli as cli
+    import plate_echo.forward as forward
+
+    def numpy_refuses(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    def interpreter_refuses(*args, **kwargs):
+        raise MemoryError()
+
+    star = tmp_path / "star.txt"
+    forward.save_farfield(ff_star, star)
+    monkeypatch.setattr(cli, "evaluate_grid", numpy_refuses)
+    monkeypatch.setattr(forward, "assemble_far_field_matrix", interpreter_refuses)
+    for argv, message in (
+        (["image", str(star)], "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+        (["forward"], "not enough memory"),
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [star]
+
+
 def test_seed_must_be_nonnegative(tmp_path, capsys, ff_star):
     from plate_echo.forward import save_farfield
 

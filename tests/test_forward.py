@@ -222,12 +222,12 @@ def test_coincident_nodes_rejected():
     # a pi-periodic "curve" traverses the circle twice: every node coincides
     # with its antipodal partner, which the assembly must refuse
     circle = make_curve("circle")
-    doubled = dataclasses.replace(
-        circle,
-        _pos=lambda t: circle._pos(2.0 * t),
-        _vel=lambda t: 2.0 * circle._vel(2.0 * t),
-        _acc=lambda t: 4.0 * circle._acc(2.0 * t),
-    )
+
+    def doubled_frame(t):
+        x, dx, ddx = circle._frame(2.0 * t)
+        return x, 2.0 * dx, 4.0 * ddx
+
+    doubled = dataclasses.replace(circle, _frame=doubled_frame)
     disc = discretize(doubled, 64)
     with pytest.raises(RuntimeError):
         assemble_system(disc, K)

@@ -80,6 +80,7 @@ class TestNoise:
 
 class TestMask:
     def test_empty_mask_is_identity(self, ff_star):
+        assert ApertureMask().is_empty()
         out = apply_mask(ff_star, ApertureMask())
         assert np.array_equal(out.entries, ff_star.entries)
 
@@ -87,6 +88,9 @@ class TestMask:
         mask = ApertureMask(
             receiver_rows=tuple(range(1, 17)), source_cols=tuple(range(48, 65))
         )
+        assert not mask.is_empty()
+        assert not ApertureMask(receiver_rows=(1,)).is_empty()
+        assert not ApertureMask(source_cols=(1,)).is_empty()
         out = apply_mask(ff_star, mask)
         assert np.all(out.entries[:16, :] == 0.0)
         assert np.all(out.entries[:, 47:] == 0.0)
@@ -320,7 +324,12 @@ class TestGrid:
     def test_translation_covariance(self, ff_star):
         v = np.array([0.5, -0.3])
         star = make_curve("star")
-        moved_star = dataclasses.replace(star, _pos=lambda t: star._pos(t) + v)
+
+        def moved_frame(t):
+            x, dx, ddx = star._frame(t)
+            return x + v, dx, ddx
+
+        moved_star = dataclasses.replace(star, _frame=moved_frame)
         shifted = assemble_far_field_matrix(moved_star, K, 64, 128)
         zs = np.random.default_rng(8).uniform(-2, 2, size=(50, 2))
         orig = indicator_values(ff_star, zs, 4.0, "ip")
