@@ -141,15 +141,19 @@ def _maue_product(X):
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
-def _pair_geometry(disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: slice, cols: slice,
-                   scale: float):
-    """k r, ln(4 sin^2((t_i - t_j)/2)), R_{(i-j) mod 2n}, n_j.(x_i - x_j)/r and the geo factor.
+def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: slice,
+                cols: slice, scale: float, kernels=None):
+    """Write the off-diagonal entries of the four blocks at node pairs rows x cols.
 
-    Every entry is computed from its own nodes i in rows and j in cols. Where
-    the block meets the diagonal, r is set to 1 and the log to 0 as
-    placeholders; diagonals are set explicitly.
+    Every entry is computed from its own nodes i in rows and j in cols: r, the
+    log ln(4 sin^2((t_i - t_j)/2)), R_{(i-j) mod 2n}, n_j.(x_i - x_j)/r and
+    the geo factor; where the block meets the diagonal, r is 1 and the log 0
+    as placeholders, diagonals being set explicitly. The kernels J_0, Y_0,
+    J_1, Y_1, I_0, K_0, I_1, K_1 of k r are evaluated unless given (the
+    mirrored block passes the upper block's, transposed), read only, returned.
     """
     m2 = disc.n_nodes
+    w = np.pi / disc.half
     x1, x2 = disc.x[:, 0], disc.x[:, 1]
     dx1 = x1[rows, None] - x1[None, cols]
     dx2 = x2[rows, None] - x2[None, cols]
@@ -164,29 +168,19 @@ def _pair_geometry(disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: 
     with np.errstate(divide="ignore"):
         lsin = np.log(4.0 * np.sin(dt / 2.0) ** 2)
     lsin[on_diag] = 0.0
-    i = np.arange(rows.start, rows.stop)
-    j = np.arange(cols.start, cols.stop)
+    node = np.arange(m2)
+    Rlog = R[(node[rows, None] - node[None, cols]) % m2]
     nr, speed = disc.normal_raw, disc.speed
     # n_j . (x_i - x_j) / r and n_i . (x_i - x_j)
     q_src = (dx1 * nr[None, cols, 0] + dx2 * nr[None, cols, 1]) / r
     q_obs = dx1 * nr[rows, None, 0] + dx2 * nr[rows, None, 1]
     geo = q_obs * speed[None, cols] / (speed[rows, None] * r)
-    return k * r, lsin, R[(i[:, None] - j[None, :]) % m2], q_src, geo
-
-
-def _fill_entries(left, right, disc, k, rows, cols, geometry, kernels):
-    """Write the off-diagonal entries of the four blocks at node pairs rows x cols.
-
-    geometry is _pair_geometry's output after k r. kernels are J_0, Y_0, J_1,
-    Y_1, I_0, K_0, I_1, K_1 of k r, read only: the mirrored block passes the
-    upper block's values transposed.
-    """
-    m2 = disc.n_nodes
-    w = np.pi / disc.half
-    lsin, Rlog, q_src, geo = geometry
+    if kernels is None:
+        kr = k * r
+        kernels = [bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr),
+                   bessel_i(0, kr), bessel_k(0, kr), bessel_i(1, kr), bessel_k(1, kr)]
     J0, Y0, J1, Y1, I0, K0, I1, K1 = kernels
     lo_r = slice(rows.start + m2, rows.stop + m2)
-    speed = disc.speed[cols]
 
     def split(out, X1, X):
         """out = R o X1 + (pi/n) X2 for the split X = X1 lsin + X2. Overwrites X."""
@@ -205,9 +199,9 @@ def _fill_entries(left, right, disc, k, rows, cols, geometry, kernels):
 
     # --- block (1,2): modified-Helmholtz single layer (real) -----------------
     M1 = I0 * -(1.0 / (2.0 * np.pi))
-    M1 *= speed
+    M1 *= speed[cols]
     M = K0 * (1.0 / np.pi)
-    M *= speed
+    M *= speed[cols]
     split(right[rows, cols], M1, M)
 
     # --- block (2,2): modified-Helmholtz adjoint double layer - I (real) -----
@@ -221,6 +215,7 @@ def _fill_entries(left, right, disc, k, rows, cols, geometry, kernels):
     G = Y0 * -0.25
     split(left.real[lo_r, cols], -(1.0 / (4.0 * np.pi)) * J0, G)
     np.multiply(J0, 0.25 * w, out=left.imag[lo_r, cols])
+    return kernels
 
 
 def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -229,13 +224,14 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     left is the complex [A11; A21], right the real [A12; A22] (S~ and K~' - I
     are real), each 2 n_nodes x n_nodes: np.hstack((left, right)) is 4n x 4n.
 
-    The system is built in row blocks [a:b] of the nodes. Each block
-    evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on its
-    upper trapezoid [a:b, a:] and fills those entries of all four blocks; the
-    mirrored block [b:, a:b] takes the same kernel values transposed and its
-    own geometry. So the kernels are evaluated once per symmetric node pair,
-    and besides the result only the Maue product's FFT buffer, its kappa
-    weights and the real nu_i . nu_j matrix nunu are n_nodes x n_nodes.
+    The system is built in row blocks [a:b] of the nodes. For each, _fill_block
+    evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on the
+    upper trapezoid [a:b, a:] and fills those entries of all four blocks; a
+    second _fill_block call fills the mirrored block [b:, a:b] from the same
+    kernel values transposed and its own geometry. So the kernels are
+    evaluated once per symmetric node pair, and besides the result only the
+    Maue product's FFT buffer, its kappa weights and the real nu_i . nu_j
+    matrix nunu are n_nodes x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
     """
@@ -253,14 +249,10 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     step = -(-m2 // KERNEL_ROW_BLOCKS)
     for a in range(0, m2, step):
         b = min(a + step, m2)
-        kr, *upper = _pair_geometry(disc, k, R, slice(a, b), slice(a, m2), scale)
-        kernels = [bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr),
-                   bessel_i(0, kr), bessel_k(0, kr), bessel_i(1, kr), bessel_k(1, kr)]
-        _fill_entries(left, right, disc, k, slice(a, b), slice(a, m2), upper, kernels)
+        kernels = _fill_block(left, right, disc, k, R, slice(a, b), slice(a, m2), scale)
         if b < m2:
-            _, *lower = _pair_geometry(disc, k, R, slice(b, m2), slice(a, b), scale)
-            _fill_entries(left, right, disc, k, slice(b, m2), slice(a, b), lower,
-                          [K[:, b - a:].T for K in kernels])
+            _fill_block(left, right, disc, k, R, slice(b, m2), slice(a, b), scale,
+                        [K[:, b - a:].T for K in kernels])
 
     # --- diagonals of the splits, R_0 diag1 + (pi/n) diag2, and the +-1 -------
     # (diag1 = 0 for both double layers, so theirs are (pi/n) curvature +- 1)

@@ -107,6 +107,8 @@ def _radial(kind, params):
         raise ValueError("star scale must be positive")
     if not abs(amp) < 1:
         raise ValueError("star amplitude must satisfy |amp| < 1 so r > 0")
+    if m != round(m):
+        raise ValueError(f"star petal count must be an integer so the curve closes, got {m:g}")
     return lambda th: (s * (1.0 + amp * np.cos(m * th)), -s * amp * m * np.sin(m * th),
                        -s * amp * m * m * np.cos(m * th))
 
@@ -152,11 +154,14 @@ def _validate(curve, samples: int = 4096):
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):   # non-finite samples are refused below
         p, v, a = curve.frame(t)
+        area = np.sum(p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0])   # samples / pi times the signed area
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v)) and np.all(np.isfinite(a))):
         raise ValueError(f"shape {curve.kind!r}: non-finite boundary data")
     speed = np.hypot(v[:, 0], v[:, 1])
     if speed.min() <= 1e-12:
         raise ValueError(f"shape {curve.kind!r}: parametrization is not regular (|x'| ~ 0)")
+    if area <= 0:
+        raise ValueError(f"shape {curve.kind!r}: parametrization is not counterclockwise")
 
 
 def _polygon_contains(position, pts, nodes: int = 1024):

@@ -178,12 +178,12 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     |u^H G u| with G = Q^T diag(conj e) B (nc x nc).
     """
     _check_indicator(rho, which)
-    nx, ny = int(resolution[0]), int(resolution[1])
+    nx, ny = (int(v) for v in resolution)
     if nx < 2 or ny < 2:
         raise ValueError("grid resolution must be >= 2 per axis")
     x_min, x_max, y_min, y_max = bounds = [float(v) for v in extent]
-    if not np.all(np.isfinite(bounds)):
-        raise ValueError(f"grid extent must be finite, not {tuple(bounds)}")
+    if not (np.all(np.isfinite(bounds)) and x_min < x_max and y_min < y_max):
+        raise ValueError(f"grid extent must be finite and increasing, not {tuple(bounds)}")
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
     n, nc = ff.n_dirs, ff.n_dirs // 2 + 1

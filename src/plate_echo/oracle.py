@@ -48,11 +48,11 @@ MAX_ORDER_STEPS = 16
 def _mode_ratios(a: float, k: float, order: int):
     """Direction-independent mode responses (ra_n, rb_n) = (a_n, b_n)/c_n and the mode tail.
 
-    H, H', K and K' come from specfun at orders 0..order; J and J' are the
-    real parts of H and H'.
+    H, H', K and K' come from specfun at orders -order..order, the negative ones by
+    its reflection formulas; J and J' are the real parts of H and H'.
     """
     z = k * a
-    n = np.arange(order + 1)
+    n = np.arange(-order, order + 1)
     H, Hp = hankel1(n, z), hankel1_deriv(n, z)
     K, Kp = bessel_k(n, z), bessel_k_deriv(n, z)
     J, Jp = H.real, Hp.real
@@ -64,13 +64,7 @@ def _mode_ratios(a: float, k: float, order: int):
     rb = (Hp * J - H * Jp) / det
     # boundary contribution of the top retained mode
     tail = abs(ra[-1] * H[-1]) + abs(rb[-1] * K[-1])
-    # Under n -> -n the J/H factors flip sign like (-1)^n while K does not:
-    # the ra numerator and the determinant flip coherently (ra even), but the
-    # rb numerator flips twice, so rb picks up (-1)^n.
-    sign = (-1.0) ** n
-    full = np.concatenate([ra[:0:-1], ra])
-    fullb = np.concatenate([(sign * rb)[:0:-1], rb])
-    return full, fullb, tail
+    return ra, rb, tail
 
 
 def _converged_modes(a: float, k: float):

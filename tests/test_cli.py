@@ -258,6 +258,20 @@ def test_non_finite_shape_parameters_are_one_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_clockwise_or_open_shape_is_config_error(tmp_path, capsys):
+    # the clockwise kite wrote a wrong far field with exit 0, and the open star
+    # failed the identity check (exit 5) instead of being refused as a config error
+    cfg = tmp_path / "shape.ini"
+    for shape, params, message in (
+        ("kite", "0.65, -1.5", "shape 'kite': parametrization is not counterclockwise"),
+        ("star", "1.5, 0.3, 4.5", "star petal count must be an integer so the curve closes, got 4.5"),
+    ):
+        cfg.write_text(f"[experiment]\nshape = {shape}\nshape_params = {params}\n")
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_image_refuses_reversed_ranges(tmp_path, ff_star):
     from plate_echo.forward import save_farfield
 

@@ -126,6 +126,20 @@ def test_invalid_parameters():
             make_curve(kind, params)
 
 
+def test_clockwise_or_open_curve_rejected():
+    # the default kite's point set traversed clockwise gave a wrong far field;
+    # a non-integer petal count gives a star that does not close at t = 2 pi
+    with pytest.raises(ValueError, match="shape 'kite': parametrization is not counterclockwise"):
+        make_curve("kite", (0.65, -1.5))
+    with pytest.raises(ValueError, match="petal count must be an integer.*4.5"):
+        make_curve("star", (1.5, 0.3, 4.5))
+    # a < 0 is the default kite mirrored in x, still counterclockwise: x(t) = -x_0(pi - t)
+    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    mirrored = make_curve("kite", (-0.65, 1.5)).position(t)
+    default = make_curve("kite").position(np.pi - t)
+    assert np.allclose(mirrored, default * [-1.0, 1.0], atol=1e-14)
+
+
 @pytest.mark.parametrize("kind", ["circle", "ellipse", "peanut", "star"])
 def test_contains_brackets_the_radial_boundary(kind):
     c = make_curve(kind)

@@ -254,7 +254,11 @@ class TestGrid:
     def test_resolution_precondition(self, ff_star):
         with pytest.raises(ValueError):
             evaluate_grid(ff_star, EXTENT, (1, 10), 4.0, "ip")
-        for bad in ((-4.0, np.nan, -4.0, 4.0), (-4.0, 4.0, -np.inf, 4.0)):
+        with pytest.raises(ValueError):
+            evaluate_grid(ff_star, EXTENT, (10, 10, 7), 4.0, "ip")
+        # non-finite, reversed (min y would land on the PGM's top row) and flat extents
+        for bad in ((-4.0, np.nan, -4.0, 4.0), (-4.0, 4.0, -np.inf, 4.0), (4.0, -4.0, -4.0, 4.0),
+                    (-4.0, 4.0, 4.0, -4.0), (1.0, 1.0, -4.0, 4.0), (-4.0, 4.0, 2.0, 2.0)):
             with pytest.raises(ValueError, match="extent"):
                 evaluate_grid(ff_star, bad, (10, 10), 4.0, "ip")
 

@@ -52,6 +52,16 @@ def test_mode_rows_residual(ratios):
         assert abs(r2) < 1e-13
 
 
+@pytest.mark.parametrize("a, k, order", [(1.0, 4.0, 26), (1.0, 16.0, 44), (0.5, 2.0, 25)])
+def test_mode_parity_is_exact(a, k, order):
+    # every order is evaluated, and specfun's reflection flips the J/H factors
+    # exactly, so ra_{-n} = ra_n and rb_{-n} = (-1)^n rb_n hold bit for bit
+    ra, rb, _ = _mode_ratios(a, k, order)
+    sign = (-1.0) ** np.arange(-order, order + 1)
+    assert np.array_equal(ra[::-1], ra)
+    assert np.array_equal(rb[::-1], sign * rb)
+
+
 def test_axis_symmetry(ratios):
     # incidence along +x: the field is mirror-symmetric in y, i.e. the
     # coefficients on the absolute-order radial basis H_|n| pair up evenly
