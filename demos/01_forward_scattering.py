@@ -2,14 +2,15 @@
 
 Walks through the basic pipeline: build a boundary curve, set up a solver
 that discretizes, assembles and LU-factors the boundary integral system once,
-solve for one incident plane wave, then produce the full 64x64 multi-static
-matrix from the same factorization, read far-field values off it and save it
-in the text format the CLI uses.
+solve for the right-hand side of one incident plane wave, then produce the
+full 64x64 multi-static matrix from the same factorization, read far-field
+values off it and save it in the text format the CLI uses.
 """
 
 import numpy as np
 
 from plate_echo import ScatteringSolver, make_curve, save_farfield
+from plate_echo.forward import incident_trace
 from plate_echo.verify import check_operator_identity
 
 k = 4.0
@@ -22,7 +23,7 @@ m = 2 * solver.disc.n_nodes
 print(f"system: {m}x{m} dense, left half complex, right half real")
 
 d = np.array([1.0, 0.0])
-phi1, phi2 = solver.solve(d)
+phi1, phi2 = solver.solve(incident_trace(solver.disc, k, d[None]))
 print(f"densities solved for d = {d}; |phi1| max = {np.abs(phi1).max():.3f}")
 
 # the full multi-static matrix: 64 more solves on the same factorization

@@ -46,9 +46,11 @@ from scipy.linalg import lu_factor, lu_solve
 # the file functions are re-exported, so the solver module serves the whole far-field workflow
 from .farfield import FarFieldMatrix, load_farfield, save_farfield, uniform_directions  # noqa: F401
 from .geometry import ParametricCurve
-from .specfun import EULER_GAMMA, bessel_i, bessel_j, bessel_k, bessel_y
+from .specfun import EULER_GAMMA, bessel_i, bessel_j, bessel_k, bessel_y, erfc
 
 SOLVE_RESIDUAL_TOL = 1e-10
+# the split window's edge a = kappa / (k max|x'|), and the largest eps I_0(k diam) left unwindowed
+WINDOW_KAPPA, WINDOW_THETA = 12.0, 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +144,16 @@ def _maue_product(X):
 # system assembly
 # ---------------------------------------------------------------------------
 def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: slice,
-                cols: slice, scale: float, kernels=None):
+                cols: slice, scale: float, window, kernels=None):
     """Write the off-diagonal entries of the four blocks at node pairs rows x cols.
 
     Every entry is computed from its own nodes i in rows and j in cols: r, the
     log ln(4 sin^2((t_i - t_j)/2)), R_{(i-j) mod 2n}, n_j.(x_i - x_j)/r and
     the geo factor; where the block meets the diagonal, r is 1 and the log 0
     as placeholders, diagonals being set explicitly. The kernels J_0, Y_0,
-    J_1, Y_1, I_0, K_0, I_1, K_1 of k r are evaluated unless given (the
-    mirrored block passes the upper block's, transposed), read only, returned.
+    J_1, Y_1, I_0, K_0, I_1, K_1 of k r, with I_0 and I_1 times a window's chi,
+    are evaluated unless given (the mirrored block passes the upper block's,
+    transposed), read only, returned.
     """
     m2 = disc.n_nodes
     w = np.pi / disc.half
@@ -179,6 +182,10 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
         kr = k * r
         kernels = [bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr),
                    bessel_i(0, kr), bessel_k(0, kr), bessel_i(1, kr), bessel_k(1, kr)]
+        if window is not None:   # chi = erfc((tau - a)/sigma)/2, tau = |t_i - t_j| wrapped into [0, pi]
+            chi = 0.5 * erfc((np.pi - np.abs(np.pi - np.abs(dt)) - window[0]) / window[1])
+            kernels[4] *= chi
+            kernels[6] *= chi
     J0, Y0, J1, Y1, I0, K0, I1, K1 = kernels
     lo_r = slice(rows.start + m2, rows.stop + m2)
 
@@ -234,6 +241,8 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     matrix nunu are n_nodes x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
+    Kress's split of K_0, K_1 by I_0, I_1 cancels terms of size I_0(k diam), diam the largest node
+    distance; past WINDOW_THETA, if a + 5 sigma = 2a < pi, I_0 and I_1 are windowed (_fill_block).
     """
     if not 0 < k < np.inf:
         raise ValueError(f"assemble_system requires a finite k > 0, got k={k!r}")
@@ -241,17 +250,22 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     speed = disc.speed
     w = np.pi / disc.half
     R = kress_log_weights(disc.half)
-    # bounding-box diagonal of the nodes: the curve's size without a pairwise scan
-    scale = max(float(np.hypot(*np.ptp(disc.x, axis=0))), 1e-30)
+    step = -(-m2 // KERNEL_ROW_BLOCKS)
+    x1, x2 = disc.x[:, 0], disc.x[:, 1]
+    d2 = max(((x1[a:a + step, None] - x1[a:]) ** 2 + (x2[a:a + step, None] - x2[a:]) ** 2).max()
+             for a in range(0, m2, step))
+    diam = max(float(np.sqrt(d2)), 1e-30)
+    a_win = WINDOW_KAPPA / (k * speed.max())
+    kress = 2.0 * a_win >= np.pi or np.finfo(float).eps * bessel_i(0, k * diam) <= WINDOW_THETA
+    window = None if kress else (a_win, a_win / 5.0)
 
     left = np.empty((2 * m2, m2), dtype=complex)
     right = np.empty((2 * m2, m2))
-    step = -(-m2 // KERNEL_ROW_BLOCKS)
     for a in range(0, m2, step):
         b = min(a + step, m2)
-        kernels = _fill_block(left, right, disc, k, R, slice(a, b), slice(a, m2), scale)
+        kernels = _fill_block(left, right, disc, k, R, slice(a, b), slice(a, m2), diam, window)
         if b < m2:
-            _fill_block(left, right, disc, k, R, slice(b, m2), slice(a, b), scale,
+            _fill_block(left, right, disc, k, R, slice(b, m2), slice(a, b), diam, window,
                         [K[:, b - a:].T for K in kernels])
 
     # --- diagonals of the splits, R_0 diag1 + (pi/n) diag2, and the +-1 -------
@@ -307,7 +321,7 @@ class ScatteringSolver:
 
     which costs one real and one complex n x n LU instead of the complex LU of
     the whole 2n x 2n system. Every call to `solve` or `far_field_matrix`
-    reuses the factorization, so any number of direction sets cost one
+    reuses the factorization, so any number of right-hand sides cost one
     assembly, and each solve is checked against the full system. The system
     is held once, as `left` = [A11; A21] (complex) and `right` = [A12; A22].
     S is written into its own buffer one column block at a time and factored
@@ -339,13 +353,15 @@ class ScatteringSolver:
                         out=S[:, a:b])
         self.lu_schur = lu_factor(S, overwrite_a=True, check_finite=False)
 
-    def solve(self, directions):
-        """Densities (phi1, phi2) for one incident direction or an (M, 2) array of them.
+    def solve(self, rhs):
+        """Densities (phi1, phi2) for a (2 n_nodes, M) array of right-hand sides, one per column.
 
-        Returns two (n_nodes, M) arrays, column j belonging to directions[j].
+        Returns two (n_nodes, M) arrays; plane waves' columns come from incident_trace(disc, k, dirs).
         """
-        rhs = incident_trace(self.disc, self.k, np.atleast_2d(directions))
         m2 = self.disc.n_nodes
+        rhs = np.ascontiguousarray(rhs, dtype=complex)
+        if rhs.ndim != 2 or rhs.shape[0] != 2 * m2:
+            raise ValueError(f"rhs must have shape ({2 * m2}, M), got {rhs.shape}")
         b1, b2 = rhs[:m2], rhs[m2:]
         sols = np.empty_like(rhs)
         phi1, phi2 = sols[:m2], sols[m2:]
@@ -380,23 +396,25 @@ class ScatteringSolver:
         den = self.system_norm * np.linalg.norm(sols) + np.linalg.norm(rhs)
         return float(num / den)
 
-    def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
-        """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations.
+    def far_field(self, phi1, xhat) -> np.ndarray:
+        """(N, M) far field at the (N, 2) directions xhat of each column of phi1.
 
         u_inf(xhat) = -ik int nu(y).xhat e^{-ik xhat.y} phi1(y) ds(y), evaluated
         with the trapezoid rule; only phi1 enters (the evanescent part carries
         no far field).
         """
+        disc, w = self.disc, np.pi / self.disc.half
+        proj = xhat @ disc.normal_raw.T                    # (N, 2n): n_j . xhat_i
+        phase = np.exp(-1j * self.k * (xhat @ disc.x.T))   # (N, 2n)
+        return (-1j * self.k * w * proj * phase) @ phi1     # the far-field rows E times phi1
+
+    def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
+        """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations."""
         if n_dirs < 4:
             raise ValueError("n_dirs must be >= 4")
         dirs = uniform_directions(n_dirs)
-        phi1, _ = self.solve(dirs)
-        disc = self.disc
-        w = np.pi / disc.half
-        proj = dirs @ disc.normal_raw.T                    # (N, 2n): n_j . xhat_i
-        phase = np.exp(-1j * self.k * (dirs @ disc.x.T))   # (N, 2n)
-        E = -1j * self.k * w * proj * phase
-        return FarFieldMatrix(k=self.k, entries=E @ phi1, shape_kind=disc.curve.kind)
+        entries = self.far_field(self.solve(incident_trace(self.disc, self.k, dirs))[0], dirs)
+        return FarFieldMatrix(k=self.k, entries=entries, shape_kind=self.disc.curve.kind)
 
 
 def assemble_far_field_matrix(

@@ -88,7 +88,7 @@ def _converged_modes(a: float, k: float):
 def scattered_field(a: float, k: float, d, points):
     """Scattered field u and its radial derivative du/dr at |x| >= a, for incident direction d.
 
-    Each cylinder family is one specfun call over all orders and points.
+    Kept for the mode-solution tests; one specfun call per family over all orders and points.
     """
     order, ra, rb = _converged_modes(a, k)
     pts = np.atleast_2d(np.asarray(points, dtype=float))

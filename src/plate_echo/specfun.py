@@ -98,6 +98,11 @@ def bessel_k(n, t):
     return _by_order(np.abs(n), t, (sp.k0e, sp.k1e), sp.kve) * np.exp(-t)
 
 
+def erfc(t):
+    """Complementary error function erfc(t) = 1 - erf(t), for the solver's split window."""
+    return sp.erfc(np.asarray(t, dtype=float))
+
+
 def hankel1(n, t):
     """Hankel function of the first kind H^(1)_n(t) = J_n(t) + i Y_n(t), t > 0."""
     return bessel_j(n, t) + 1j * bessel_y(n, t)

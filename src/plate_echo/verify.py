@@ -82,10 +82,12 @@ def check_operator_identity(ff: FarFieldMatrix, tolerance: float = 1e-2) -> Chec
     norm = np.linalg.norm(F)
     residual = float("nan")
     if norm != 0.0:
-        w = 2.0 * np.pi / ff.n_dirs
-        lhs = F - F.conj().T
-        rhs = (0.25j / np.pi) * w * (F.conj().T @ F)
-        residual = float(np.linalg.norm(lhs - rhs) / norm)
+        Fh = F.conj().T
+        rhs = Fh @ F
+        rhs *= (0.25j / np.pi) * (2.0 * np.pi / ff.n_dirs)    # w = 2 pi / N
+        np.subtract(F, Fh, out=Fh)      # F - F^H - rhs, in F^H's buffer
+        Fh -= rhs
+        residual = float(np.linalg.norm(Fh) / norm)
     return CheckRecord("operator_identity", ff.shape_kind, ff.k, ff.n_dirs, residual, tolerance)
 
 

@@ -23,7 +23,8 @@ from plate_echo.forward import (
     save_farfield,
     uniform_directions,
 )
-from plate_echo.geometry import make_curve
+from plate_echo.geometry import SHAPE_KINDS, make_curve
+from plate_echo.oracle import disk_far_field_matrix
 
 K = 4.0
 
@@ -251,7 +252,8 @@ def test_disk_rotational_covariance():
     solver = ScatteringSolver(make_curve("circle"), K, m2)
     shift = 2  # nodes
     beta = 2 * np.pi * shift / m2
-    phi1, phi2 = solver.solve(np.array([[1.0, 0.0], [np.cos(beta), np.sin(beta)]]))
+    dirs = np.array([[1.0, 0.0], [np.cos(beta), np.sin(beta)]])
+    phi1, phi2 = solver.solve(incident_trace(solver.disc, K, dirs))
     assert np.allclose(phi1[:, 1], np.roll(phi1[:, 0], shift), atol=1e-10)
     assert np.allclose(phi2[:, 1], np.roll(phi2[:, 0], shift), atol=1e-10)
 
@@ -566,8 +568,9 @@ def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
     # the norm is taken over the two halves, so it matches the dense one to rounding
     assert solver.system_norm == pytest.approx(np.linalg.norm(system), rel=1e-12)
     dirs = uniform_directions(64)
-    phi1, phi2 = solver.solve(dirs)
-    ref = np.linalg.solve(system, incident_trace(solver.disc, K, dirs))
+    rhs = incident_trace(solver.disc, K, dirs)
+    phi1, phi2 = solver.solve(rhs)
+    ref = np.linalg.solve(system, rhs)
     dens = np.concatenate([phi1, phi2])
     assert np.abs(dens - ref).max() / np.abs(ref).max() < 1e-9
     F = solver.far_field_matrix(64).entries
@@ -611,7 +614,7 @@ def test_solver_factors_twice_and_solves_through_lu_solve(monkeypatch):
         monkeypatch.setattr(forward, name, counting(name))
     solver = ScatteringSolver(make_curve("star"), K, 64)
     assert calls == {"lu_factor": 2, "lu_solve": 1}         # A22 and S; W
-    solver.solve(uniform_directions(8))
+    solver.solve(incident_trace(solver.disc, K, uniform_directions(8)))
     assert calls == {"lu_factor": 2, "lu_solve": 3}
     solver.far_field_matrix(16)
     assert calls == {"lu_factor": 2, "lu_solve": 5}
@@ -634,4 +637,96 @@ def test_singular_modified_helmholtz_block_raises(edit, monkeypatch):
         warnings.simplefilter("ignore")                  # LAPACK's zero-pivot and NaN warnings
         solver = ScatteringSolver(make_curve("star"), K, 64)
         with pytest.raises(RuntimeError, match="linear solve failed"):
-            solver.solve(uniform_directions(8))
+            solver.solve(incident_trace(solver.disc, K, uniform_directions(8)))
+
+
+@pytest.mark.parametrize("rhs_shape", [(256,), (255, 4), (256, 4, 1)])
+def test_solve_refuses_misshapen_right_hand_sides(rhs_shape):
+    solver = ScatteringSolver(make_curve("star"), K, 128)
+    with pytest.raises(ValueError, match=r"rhs must have shape \(256, M\)"):
+        solver.solve(np.ones(rhs_shape, dtype=complex))
+
+
+def test_far_field_rows_match_the_far_field_matrix():
+    # far_field at any directions is the matrix's rows there; a real rhs is taken as complex
+    solver = ScatteringSolver(make_curve("kite"), K, 128)
+    dirs = uniform_directions(16)
+    rhs = incident_trace(solver.disc, K, dirs)
+    phi1, _ = solver.solve(rhs)
+    F = solver.far_field_matrix(16).entries
+    assert np.array_equal(solver.far_field(phi1, dirs), F)
+    assert np.array_equal(solver.far_field(phi1, dirs[3:5]), F[3:5])
+    assert np.array_equal(solver.solve(rhs.real)[0], solver.solve(rhs.real + 0j)[0])
+
+
+# --- the windowed modified-Helmholtz split, above k diam of about 17.5 ------
+def _rel_max(A, B):
+    return np.abs(A - B).max() / np.abs(B).max()
+
+
+@pytest.mark.parametrize("k, m2", [(16.0, 256), (20.0, 256), (30.0, 384), (40.0, 512)])
+def test_windowed_split_matches_disk_oracle_at_high_k(k, m2):
+    # Kress's split alone is 2.3e-3 off at k = 16 and 0.4 off at k = 20
+    ff = assemble_far_field_matrix(make_curve("circle"), k, 64, m2)
+    assert _rel_max(ff.entries, disk_far_field_matrix(1.0, k, 64).entries) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [8.0, 12.0])
+def test_windowed_split_converges_on_the_star(k):
+    # n-vs-2n at 256 nodes; Kress's split alone reads 3.7e-4 at k = 8 and 1.2 at k = 12
+    star = make_curve("star")
+    coarse = assemble_far_field_matrix(star, k, 64, 256).entries
+    fine = assemble_far_field_matrix(star, k, 64, 512).entries
+    assert _rel_max(coarse, fine) <= 1e-8
+
+
+def test_window_is_off_at_the_presets_and_on_for_the_high_k_disk(monkeypatch):
+    calls = []
+    erfc = forward.erfc
+    monkeypatch.setattr(forward, "erfc", lambda t: calls.append(np.size(t)) or erfc(t))
+    for kind in ("star", "peanut"):                  # both presets: k = 4, 128 nodes
+        ScatteringSolver(make_curve(kind), K, 128)
+    assert calls == []
+    ScatteringSolver(make_curve("circle"), 16.0, 256)
+    # one call per row block, on its upper trapezoid: the mirrored blocks reuse the values
+    assert len(calls) == forward.KERNEL_ROW_BLOCKS
+    assert 256 * 257 / 2 <= sum(calls) < 0.6 * 256 * 256
+
+
+def test_row_blocks_leave_the_windowed_system_bit_identical(monkeypatch):
+    disc = discretize(make_curve("circle"), 130)
+    systems = []
+    for blocks in (1, forward.KERNEL_ROW_BLOCKS, 130):
+        monkeypatch.setattr(forward, "KERNEL_ROW_BLOCKS", blocks)
+        systems.append([half.tobytes() for half in assemble_system(disc, 16.0)])
+    assert systems[0] == systems[1] == systems[2]
+
+
+# --- an exact far field for every shape: radiating sources inside the cavity
+def _interior_source_rhs(disc, k, sources):
+    """Right-hand sides 2 (v, dnu v) of v = Phi_k(., y) + Phi~_k(., y), one column per source y.
+
+    v radiates and solves the plate equation outside the cavity, so with -v in
+    the place of the incident field the scattered field is v itself, and its
+    far field is exactly e^{-ik xhat.y}.
+    """
+    diff = disc.x[:, None, :] - sources[None, :, :]          # (2n, M, 2)
+    r = np.hypot(diff[..., 0], diff[..., 1])
+    kr = k * r
+    v = 0.25j * specfun.hankel1(0, kr) + specfun.bessel_k(0, kr) / (2.0 * np.pi)
+    dv_dr = -0.25j * k * specfun.hankel1(1, kr) - k * specfun.bessel_k(1, kr) / (2.0 * np.pi)
+    dnu = dv_dr * np.einsum("imc,ic->im", diff, disc.normal) / r
+    return 2.0 * np.concatenate([v, dnu])
+
+
+@pytest.mark.parametrize("k, m2", [(4.0, 128), (8.0, 256), (12.0, 256)])
+@pytest.mark.parametrize("kind", SHAPE_KINDS)
+def test_interior_sources_give_their_exact_far_field(kind, k, m2):
+    curve = make_curve(kind)
+    sources = 0.6 * curve.position(0.3 + 2.0 * np.pi * np.arange(5) / 5)
+    assert np.all(curve.contains(sources))
+    solver = ScatteringSolver(curve, k, m2)
+    phi1, _ = solver.solve(_interior_source_rhs(solver.disc, k, sources))
+    xhat = uniform_directions(64)
+    exact = np.exp(-1j * k * (xhat @ sources.T))
+    assert _rel_max(solver.far_field(phi1, xhat), exact) <= 1e-8

@@ -12,6 +12,7 @@ from plate_echo.specfun import (
     bessel_k,
     bessel_k_deriv,
     bessel_y,
+    erfc,
     hankel1,
     hankel1_deriv,
 )
@@ -149,6 +150,21 @@ class TestBesselI:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_i(0, -1.0)
+
+
+class TestErfc:
+    def test_against_mpmath(self):
+        # the solver's window evaluates erfc((tau - a)/sigma) on [-5, 5 (pi/a - 1)]
+        mpmath.mp.dps = 50
+        t = np.array([-5.0, -1.3, -1e-3, 0.0, 0.4, 1.0, 3.7, 5.0, 12.5, 26.0])
+        ref = [float(mpmath.erfc(mpmath.mpf(x))) for x in t]
+        assert np.allclose(erfc(t), ref, rtol=1e-13, atol=0)
+        assert erfc(0.0) == 1.0
+
+    def test_tails(self):
+        t = np.linspace(0.0, 6.0, 61)
+        assert np.allclose(erfc(-t) + erfc(t), 2.0, rtol=0, atol=1e-15)
+        assert erfc(40.0) == 0.0 and erfc(-40.0) == 2.0
 
 
 class TestHankel1:
