@@ -131,13 +131,16 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
-def _parse_indices(text: str) -> tuple:
+def _parse_indices(text: str, n_dirs: int) -> tuple:
+    """1-based indices and ranges a-b; a range must lie in 1..n_dirs before it is expanded."""
     out = []
     for chunk in text.replace(",", " ").split():
         if "-" in chunk:
             a, b = map(int, chunk.split("-", 1))
             if b < a:
                 raise ValueError(f"index range {chunk} ends below its start")
+            if a < 1 or b > n_dirs:
+                raise ValueError(f"index range {chunk} outside 1..{n_dirs}")
             out.extend(range(a, b + 1))
         else:
             out.append(int(chunk))
@@ -158,7 +161,8 @@ def _parse_bool(text: str) -> bool:
 # One row per config key: (section, key, ExperimentConfig attribute, parse).
 # parse_config walks this table, in this order, and refuses any section
 # or key not in it. A parse that returns None keeps the base value (an empty
-# shape_params means the shape's defaults).
+# shape_params means the shape's defaults). The [mask] parses also take the
+# effective n_dirs, which [experiment], listed first, has already set.
 CONFIG_FIELDS = (
     ("experiment", "shape", "shape_kind", str.strip),
     ("experiment", "shape_params", "shape_params", lambda text: _parse_values(float)(text) or None),
@@ -201,7 +205,11 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     try:
         for section, key, attr, parse in CONFIG_FIELDS:
             if parser.has_option(section, key):
-                value = parse(parser.get(section, key))
+                text = parser.get(section, key)
+                if section == "mask":
+                    value = parse(text, updates.get("n_dirs", cfg.n_dirs))
+                else:
+                    value = parse(text)
                 if value is not None:
                     updates[attr] = value
     except ValueError as exc:

@@ -241,8 +241,8 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     matrix nunu are n_nodes x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
-    Kress's split of K_0, K_1 by I_0, I_1 cancels terms of size I_0(k diam), diam the largest node
-    distance; past WINDOW_THETA, if a + 5 sigma = 2a < pi, I_0 and I_1 are windowed (_fill_block).
+    Kress's split of K_0, K_1 by I_0, I_1 cancels terms of size I_0(k diam), diam the curve's
+    diameter; past WINDOW_THETA, if a + 5 sigma = 2a < pi, I_0 and I_1 are windowed (_fill_block).
     """
     if not 0 < k < np.inf:
         raise ValueError(f"assemble_system requires a finite k > 0, got k={k!r}")
@@ -251,10 +251,7 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     w = np.pi / disc.half
     R = kress_log_weights(disc.half)
     step = -(-m2 // KERNEL_ROW_BLOCKS)
-    x1, x2 = disc.x[:, 0], disc.x[:, 1]
-    d2 = max(((x1[a:a + step, None] - x1[a:]) ** 2 + (x2[a:a + step, None] - x2[a:]) ** 2).max()
-             for a in range(0, m2, step))
-    diam = max(float(np.sqrt(d2)), 1e-30)
+    diam = max(disc.curve.diameter(), 1e-30)
     a_win = WINDOW_KAPPA / (k * speed.max())
     kress = 2.0 * a_win >= np.pi or np.finfo(float).eps * bessel_i(0, k * diam) <= WINDOW_THETA
     window = None if kress else (a_win, a_win / 5.0)

@@ -29,8 +29,11 @@ fixed-order routines, so every value equals the one-order call's bit for bit.
 Routines are looked up through the module name `sp` at call time, so a
 stand-in for scipy.special assigned to `specfun.sp` sees every evaluation.
 
-Intended range: |n| <= 64, t in (0, 1000]; values are accurate to ~1e-12
-absolute there. K_n underflows cleanly to 0 for large t.
+Tested range, against mpmath: |n| <= 64 with t in (0, 1000], and |n| <= 96
+with t in [40, 64] (the disk oracle reaches order 76 at k = 40). J_n is
+accurate to ~1e-12 absolute there, I_n and K_n to ~1e-12 relative and Y_n to
+~1e-10 relative. K_n underflows cleanly to 0 for large t; K_n and Y_n
+overflow to +-inf at high order and small t (order 96 below t ~ 0.05).
 """
 
 from __future__ import annotations

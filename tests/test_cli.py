@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -158,6 +159,32 @@ def test_unknown_config_key_writes_nothing(tmp_path, capsys, ff_star):
         assert main(["image", str(star), "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
     assert not list(tmp_path.glob("grid_*"))
+
+
+def test_mask_range_is_checked_before_it_is_expanded(tmp_path, capsys, ff_star, parse_text):
+    # every index of a range used to be built before validate compared them with n_dirs
+    from plate_echo.forward import save_farfield
+
+    star = tmp_path / "star.txt"
+    save_farfield(ff_star, star)
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[mask]\nrows = 1-2000000\n")
+    assert main(["image", str(star), "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "1-2000000" in capsys.readouterr().err
+    assert not list(tmp_path.glob("grid_*"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="1-2000000"):
+            parse_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    # the range is checked against the config's own n_dirs, parsed before [mask]
+    assert parse_text("[experiment]\nn_dirs = 128\n[mask]\nrows = 65-128\n").mask_rows == \
+        tuple(range(65, 129))
+    with pytest.raises(ConfigError, match="0-3"):
+        parse_text("[mask]\ncols = 0-3\n")
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys, ff_star):

@@ -23,7 +23,7 @@ from plate_echo.forward import (
     save_farfield,
     uniform_directions,
 )
-from plate_echo.geometry import SHAPE_KINDS, make_curve
+from plate_echo.geometry import SHAPE_KINDS, ParametricCurve, make_curve
 from plate_echo.oracle import disk_far_field_matrix
 
 K = 4.0
@@ -691,6 +691,18 @@ def test_window_is_off_at_the_presets_and_on_for_the_high_k_disk(monkeypatch):
     # one call per row block, on its upper trapezoid: the mirrored blocks reuse the values
     assert len(calls) == forward.KERNEL_ROW_BLOCKS
     assert 256 * 257 / 2 <= sum(calls) < 0.6 * 256 * 256
+
+
+def test_window_switch_reads_the_curve_diameter(monkeypatch):
+    # the star at k = 4 with 128 nodes: 2a = 2.53 < pi, so only I_0(k diam) keeps Kress's rule
+    calls = []
+    erfc = forward.erfc
+    monkeypatch.setattr(forward, "erfc", lambda t: calls.append(np.size(t)) or erfc(t))
+    ScatteringSolver(make_curve("star"), K, 128)
+    assert calls == []
+    monkeypatch.setattr(ParametricCurve, "diameter", lambda self: 10.0)   # k diam = 40
+    ScatteringSolver(make_curve("star"), K, 128)
+    assert len(calls) == forward.KERNEL_ROW_BLOCKS
 
 
 def test_row_blocks_leave_the_windowed_system_bit_identical(monkeypatch):

@@ -183,3 +183,28 @@ def test_kite_containment_memory_is_bounded():
 def test_closure_periodicity():
     for c in ALL_SHAPES:
         assert np.allclose(c.position(0.0), c.position(2 * np.pi), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", SHAPE_KINDS)
+def test_diameter_is_the_full_pair_scan_in_row_blocks(kind):
+    # the same max over the same squared distances as the whole 512 x 512 array,
+    # without holding that array (6.3 MB for the kite)
+    c = make_curve(kind)
+    p = c.position(np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
+    brute = float(np.sqrt(np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1).max()))
+    tracemalloc.start()
+    try:
+        diam = c.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diam == brute
+    assert peak <= 2**20
+
+
+@pytest.mark.parametrize("curve, exact", [
+    (make_curve("circle"), 2.0), (make_curve("circle", (2.5,)), 5.0),
+    (make_curve("ellipse"), 2.0), (make_curve("star"), 2 * 1.5 * 1.3),
+])
+def test_diameter_closed_forms(curve, exact):
+    assert curve.diameter() == pytest.approx(exact, rel=1e-15, abs=0)

@@ -65,7 +65,7 @@ class TestBesselJ:
     def test_accuracy_at_range_edges(self):
         mpmath.mp.dps = 50
         for n, t in [(0, 1e-3), (0, 5.0), (0, 1000.0), (1, 1e-3), (1, 5.0), (1, 1000.0),
-                     (32, 500.0), (64, 1000.0), (64, 64.0)]:
+                     (32, 500.0), (64, 1000.0), (64, 64.0), (80, 40.0), (96, 64.0)]:
             assert abs(bessel_j(n, t) - float(mpmath.besselj(n, t))) < 1e-12
 
     def test_rejects_negative_argument(self):
@@ -80,7 +80,8 @@ class TestBesselY:
     def test_against_mpmath(self):
         mpmath.mp.dps = 50
         for n, t in [(0, 1.0), (0, 0.001), (1, 0.001), (1, 5.0), (1, 1000.0), (3, 5.0),
-                     (8, 20.0), (32, 50.0), (64, 1.0), (64, 1000.0), (0, 1000.0)]:
+                     (8, 20.0), (32, 50.0), (64, 1.0), (64, 1000.0), (0, 1000.0), (80, 40.0),
+                     (96, 64.0)]:
             assert bessel_y(n, t) == pytest.approx(float(mpmath.bessely(n, t)), rel=1e-10)
 
     def test_wronskian_n3_t5(self):
@@ -120,7 +121,7 @@ class TestBesselK:
     def test_accuracy_across_contract_range(self):
         mpmath.mp.dps = 50
         for n, t in [(0, 1e-3), (0, 700.0), (1, 1e-3), (1, 700.0), (64, 1e-3), (64, 700.0),
-                     (32, 350.0)]:
+                     (32, 350.0), (80, 40.0), (96, 64.0)]:
             exact = mpmath.besselk(n, t)
             rel = abs((bessel_k(n, t) - float(exact)) / float(exact))
             assert rel < 1e-12, f"K_{n}({t}): rel err {rel:.2e}"
@@ -141,7 +142,7 @@ class TestBesselI:
     def test_against_mpmath(self):
         mpmath.mp.dps = 50
         for n, t in [(0, 1e-3), (0, 5.0), (0, 700.0), (1, 1e-3), (1, 5.0), (1, 700.0),
-                     (5, 20.0), (64, 100.0)]:
+                     (5, 20.0), (64, 100.0), (80, 40.0), (96, 64.0)]:
             assert bessel_i(n, t) == pytest.approx(float(mpmath.besseli(n, t)), rel=1e-12)
 
     def test_negative_order_symmetry(self):
