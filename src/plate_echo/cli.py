@@ -335,7 +335,7 @@ def cmd_verify(cfg: ExperimentConfig):
     records.append(CheckRecord("equivalence_bie", cfg.shape_kind, k, n,
                                check_equivalence_chain(ff, zs), 0.05))
 
-    big = solver.far_field_matrix(DECAY_DIRECTIONS)
+    big = solver.far_field_operator(DECAY_DIRECTIONS)
     whiches, rhos = ("ip", "ip", "norm", "norm"), (1.0, 2.0, 1.0, 2.0)
     slopes = check_decay_slope(big, whiches, rhos, DECAY_RADII)
     for which, rho, slope in zip(whiches, rhos, slopes):

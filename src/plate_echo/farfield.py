@@ -34,6 +34,10 @@ class FarFieldMatrix:
         """(N, 2) uniform directions theta_i = 2 pi i / N; imaging grids rely on them being uniform."""
         return uniform_directions(self.n_dirs)
 
+    def apply(self, P) -> np.ndarray:
+        """F u for each row u of the (m, N) array P, as the rows of an (m, N) array."""
+        return P @ self.entries.T
+
 
 def uniform_directions(n_dirs: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs

@@ -302,9 +302,14 @@ def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
     array gives a (2 n_nodes, M) matrix, one column per direction.
     """
     d = np.asarray(d, dtype=float)
-    phase = np.exp(1j * k * (disc.x @ d.T))
-    dn = 1j * k * (disc.normal @ d.T) * phase
-    return -2.0 * np.concatenate([phase, dn])
+    m2 = disc.n_nodes
+    out = np.empty((2 * m2, *d.shape[:-1]), dtype=complex)
+    top, bottom = out[:m2], out[m2:]
+    np.exp(np.multiply(1j * k, disc.x @ d.T, out=top), out=top)
+    np.multiply(1j * k, disc.normal @ d.T, out=bottom)
+    bottom *= top
+    out *= -2.0
+    return out
 
 
 class ScatteringSolver:
@@ -317,12 +322,13 @@ class ScatteringSolver:
         phi1 = S^-1 (b1 - W b2),    phi2 = A22^-1 (b2 - A21 phi1),
 
     which costs one real and one complex n x n LU instead of the complex LU of
-    the whole 2n x 2n system. Every call to `solve` or `far_field_matrix`
-    reuses the factorization, so any number of right-hand sides cost one
-    assembly, and each solve is checked against the full system. The system
-    is held once, as `left` = [A11; A21] (complex) and `right` = [A12; A22].
-    S is written into its own buffer one column block at a time and factored
-    there, so no full-size temporary is made on the way.
+    the whole 2n x 2n system. Every call to `solve`, `far_field_matrix` or
+    `far_field_operator` reuses the factorization, so any number of
+    right-hand sides cost one assembly, and each solve is checked against the
+    full system. The system is held once, as `left` = [A11; A21] (complex)
+    and `right` = [A12; A22]. S is written into its own buffer one column
+    block at a time and factored there, so no full-size temporary is made on
+    the way.
     """
 
     def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
@@ -401,9 +407,11 @@ class ScatteringSolver:
         no far field).
         """
         disc, w = self.disc, np.pi / self.disc.half
-        proj = xhat @ disc.normal_raw.T                    # (N, 2n): n_j . xhat_i
-        phase = np.exp(-1j * self.k * (xhat @ disc.x.T))   # (N, 2n)
-        return (-1j * self.k * w * proj * phase) @ phi1     # the far-field rows E times phi1
+        E = -1j * self.k * w * (xhat @ disc.normal_raw.T)   # (N, 2n) far-field rows: n_j . xhat_i
+        phase = -1j * self.k * (xhat @ disc.x.T)            # (N, 2n)
+        E *= np.exp(phase, out=phase)
+        del phase                                           # only E and the result meet in the GEMM
+        return E @ phi1
 
     def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
         """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations."""
@@ -412,6 +420,39 @@ class ScatteringSolver:
         dirs = uniform_directions(n_dirs)
         entries = self.far_field(self.solve(incident_trace(self.disc, self.k, dirs))[0], dirs)
         return FarFieldMatrix(k=self.k, entries=entries, shape_kind=self.disc.curve.kind)
+
+    def far_field_operator(self, n_dirs: int) -> FarFieldOperator:
+        """F over n_dirs uniform directions, applied through this factorization, never tabulated."""
+        if n_dirs < 4:
+            raise ValueError("n_dirs must be >= 4")
+        return FarFieldOperator(self, n_dirs)
+
+
+@dataclass(frozen=True)
+class FarFieldOperator:
+    """The multi-static far-field operator F of a solver, applied without its N x N matrix.
+
+    F u is the far field of the Herglotz wave sum_j u_j e^{ik x.d_j}, so one
+    solve with the right-hand side incident_trace(disc, k, dirs) u gives it at
+    every direction: m test vectors cost one solve of m right-hand sides and
+    no N^2 table.
+    """
+
+    solver: ScatteringSolver
+    n_dirs: int
+
+    @property
+    def k(self) -> float:
+        return self.solver.k
+
+    @property
+    def directions(self) -> np.ndarray:
+        return uniform_directions(self.n_dirs)
+
+    def apply(self, P) -> np.ndarray:
+        """F u for each row u of the (m, N) array P, as the rows of an (m, N) array."""
+        s, dirs = self.solver, self.directions
+        return s.far_field(s.solve(incident_trace(s.disc, s.k, dirs) @ P.T)[0], dirs).T
 
 
 def assemble_far_field_matrix(

@@ -95,34 +95,32 @@ def _check_indicator(rho: float, which: str) -> None:
 
 
 def _raw_indicators(count: int, blocks, names) -> dict:
-    """Raw indicators for count test vectors, given as (a, P, M) blocks.
+    """Raw indicators for count test vectors, given as (a, P, FP) blocks.
 
-    Row r of P is a test vector u for value a + r, and M u is its F phi_z:
-    |(u, M u)| is 'ip' and ||M u|| is 'norm', for each name asked. M u goes
-    into one buffer sized by the first block, which must be the largest.
+    Row r of P is a test vector u for value a + r, and row r of FP is its
+    F u: |(u, F u)| is 'ip' and ||F u|| is 'norm', for each name asked.
     vecdot conjugates its first argument in its inner loop, so the reductions
     make no copy.
     """
     raw = {name: np.empty(count) for name in names}
-    FP = None
-    for a, P, M in blocks:
-        if FP is None:
-            FP = np.empty((len(P), len(M)), dtype=complex)
-        FPb = np.matmul(P, M.T, out=FP[:len(P)])          # (M u)_i per row
+    for a, P, FP in blocks:
         if "ip" in raw:
-            raw["ip"][a:a + len(P)] = np.abs(np.vecdot(P, FPb))
+            raw["ip"][a:a + len(P)] = np.abs(np.vecdot(P, FP))
         if "norm" in raw:
-            raw["norm"][a:a + len(P)] = np.sqrt(np.vecdot(FPb, FPb).real)
+            raw["norm"][a:a + len(P)] = np.sqrt(np.vecdot(FP, FP).real)
     return raw
 
 
-def indicator_values(ff: FarFieldMatrix, points, rho, which):
-    """Vectorized indicator over an (m, 2) array of sampling points.
+def indicator_values(ff, points, rho, which):
+    """Vectorized indicator over an (m, 2) array of finite sampling points.
 
-    which and rho may also be equal-length sequences: then the result is a
-    list with one array per (rho, which) pair, all from one F phi_z product.
-    Points are taken INDICATOR_BLOCK // N at a time, so the (points, N)
-    test-vector temporaries stay bounded however many points there are.
+    ff is a FarFieldMatrix or anything else with k, n_dirs, directions and
+    apply(P) (ScatteringSolver.far_field_operator applies F through the
+    solver, with no N x N table). which and rho may also be equal-length
+    sequences: then the result is a list with one array per (rho, which)
+    pair, all from one F phi_z product. Points are taken INDICATOR_BLOCK // N
+    at a time, so the (points, N) test-vector and F phi_z blocks stay bounded
+    however many points there are.
     """
     if isinstance(which, str):
         pairs = [(rho, which)]
@@ -132,12 +130,19 @@ def indicator_values(ff: FarFieldMatrix, points, rho, which):
         raise ValueError("with a sequence of indicators, rho must be a sequence of the same length")
     for r, w in pairs:
         _check_indicator(r, w)
-    points = np.atleast_2d(points)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    bad = ~np.all(np.isfinite(points), axis=-1)
+    if np.any(bad):
+        raise ValueError(f"sampling points must be finite, got {points[bad][:8].tolist()}")
     directions = ff.directions
     step = max(1, INDICATOR_BLOCK // ff.n_dirs)
-    blocks = ((a, phi_z(ff.k, directions, points[a:a + step]), ff.entries)
-              for a in range(0, len(points), step))
-    raw = _raw_indicators(len(points), blocks, {w for _, w in pairs})
+
+    def blocks():
+        for a in range(0, len(points), step):
+            P = phi_z(ff.k, directions, points[a:a + step])
+            yield a, P, ff.apply(P)
+
+    raw = _raw_indicators(len(points), blocks(), {w for _, w in pairs})
     values = [raw[w] ** r for r, w in pairs]
     return values[0] if isinstance(which, str) else values
 
@@ -200,7 +205,8 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
         B = fold(ff.entries, e)
         return B if which == "norm" else fold(B.T, e.conj()).T
 
-    blocks = ((iy * nx, U, row_matrix(e)) for iy, e in enumerate(E_y))
+    FP = np.empty((nx, n if which == "norm" else nc), dtype=complex)   # U M^T for every row's M
+    blocks = ((iy * nx, U, np.matmul(U, row_matrix(e).T, out=FP)) for iy, e in enumerate(E_y))
     vals = _raw_indicators(ny * nx, blocks, (which,))[which].reshape(ny, nx)
     with np.errstate(over="ignore"):                    # an inf peak is refused below
         vals = vals ** rho

@@ -91,8 +91,10 @@ def check_operator_identity(ff: FarFieldMatrix, tolerance: float = 1e-2) -> Chec
     return CheckRecord("operator_identity", ff.shape_kind, ff.k, ff.n_dirs, residual, tolerance)
 
 
-def check_equivalence_chain(ff: FarFieldMatrix, sample_points) -> float:
+def check_equivalence_chain(ff, sample_points) -> float:
     """Largest slack eps needed for the two-sided indicator equivalence.
+
+    ff is a FarFieldMatrix or a solver's far_field_operator (indicator_values).
 
     At each z checks (1/8pi)||F phi_z||^2 <= |(phi_z, F phi_z)| (1+eps) and
     |(phi_z, F phi_z)| <= sqrt(2pi) ||F phi_z|| (1+eps) in the weighted
@@ -113,17 +115,22 @@ def check_equivalence_chain(ff: FarFieldMatrix, sample_points) -> float:
     return float(max(eps_lower.max(), eps_upper.max(), 0.0))
 
 
-def check_decay_slope(ff: FarFieldMatrix, which, rho, radii):
+def check_decay_slope(ff, which, rho, radii):
     """Log-log slope of the angularly averaged indicator vs radius.
 
-    Expected about -rho for 'ip' and -rho/2 for 'norm'. radii must be
-    strictly increasing (callers should start well outside the cavity).
-    which and rho may also be equal-length sequences: then one slope per
-    (which, rho) pair is returned, all from one evaluation of the rings.
+    Expected about -rho for 'ip' and -rho/2 for 'norm'. radii must be finite,
+    positive and strictly increasing (callers should start well outside the
+    cavity). which and rho may also be equal-length sequences: then one slope
+    per (which, rho) pair is returned, all from one evaluation of the rings.
+    ff is a FarFieldMatrix or a solver's far_field_operator, which needs no
+    N x N table for the many directions the outer rings take.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be a strictly increasing sequence")
+    bad = radii[~((radii > 0) & (radii < np.inf))]
+    if bad.size:
+        raise ValueError(f"radii must be finite and > 0, got {bad.tolist()}")
     rings = radii[:, None, None] * uniform_directions(DECAY_RING_SAMPLES)  # (radii, samples, 2)
     values = indicator_values(ff, rings.reshape(-1, 2), rho, which)
     slopes = []

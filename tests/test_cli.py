@@ -457,8 +457,8 @@ def test_verify_default_passes(tmp_path, capsys):
 
 
 def test_verify_assembles_each_system_once(monkeypatch):
-    # one solver serves both star matrices (N and the decay checks' 1024
-    # directions); the disk comparison assembles the second system
+    # one solver serves the star's N-direction matrix and the decay checks'
+    # 1024-direction operator; the disk comparison assembles the second system
     import plate_echo.forward as forward
 
     calls = []
@@ -471,6 +471,22 @@ def test_verify_assembles_each_system_once(monkeypatch):
     monkeypatch.setattr(forward, "assemble_system", counting)
     assert main(["verify"]) == EXIT_OK
     assert sorted(calls) == ["circle", "star"]
+
+
+def test_verify_tabulates_no_decay_matrix(monkeypatch):
+    # the decay checks apply F through the solver: the only matrix built is the N = 64 one
+    import plate_echo.forward as forward
+
+    n_dirs = []
+    original = forward.ScatteringSolver.far_field_matrix
+
+    def recording(self, n):
+        n_dirs.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(forward.ScatteringSolver, "far_field_matrix", recording)
+    assert main(["verify"]) == EXIT_OK
+    assert n_dirs == [64, 64]
 
 
 def test_verify_underresolved_fails(tmp_path):

@@ -659,6 +659,64 @@ def test_far_field_rows_match_the_far_field_matrix():
     assert np.array_equal(solver.solve(rhs.real)[0], solver.solve(rhs.real + 0j)[0])
 
 
+@pytest.mark.parametrize("kind, k, m2, n_dirs", [
+    ("star", K, 128, 1024), ("kite", K, 128, 1024), ("peanut", K, 256, 512), ("star", 8.0, 256, 1024),
+])
+def test_far_field_operator_applies_the_matrix(kind, k, m2, n_dirs):
+    # F u through one solve per block of test vectors, against the tabulated matrix:
+    # ring test vectors out to k r = 400 and random complex vectors
+    solver = ScatteringSolver(make_curve(kind), k, m2)
+    op = solver.far_field_operator(n_dirs)
+    assert (op.k, op.n_dirs) == (k, n_dirs)
+    assert np.array_equal(op.directions, uniform_directions(n_dirs))
+    rng = np.random.default_rng(5)
+    rings = np.geomspace(10.0, 100.0, 12)[:, None, None] * uniform_directions(8)
+    P = np.vstack([np.exp(-1j * k * (rings.reshape(-1, 2) @ op.directions.T)),
+                   rng.standard_normal((5, n_dirs)) + 1j * rng.standard_normal((5, n_dirs))])
+    expected = solver.far_field_matrix(n_dirs).apply(P)
+    assert op.apply(P).shape == P.shape
+    assert np.abs(op.apply(P) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_far_field_operator_refuses_too_few_directions():
+    solver = ScatteringSolver(make_curve("star"), K, 64)
+    with pytest.raises(ValueError, match="n_dirs must be >= 4"):
+        solver.far_field_operator(3)
+
+
+def test_incident_trace_and_far_field_write_into_their_outputs():
+    # the same floats, bit for bit, as the whole-array expressions, with only
+    # the result (plus one real x d^T, or the far-field rows E) live at the peak
+    solver = ScatteringSolver(make_curve("star"), K, 256)
+    disc, dirs = solver.disc, uniform_directions(1024)
+
+    def reference(d):
+        phase = np.exp(1j * K * (disc.x @ d.T))
+        return -2.0 * np.concatenate([phase, 1j * K * (disc.normal @ d.T) * phase])
+
+    tracemalloc.start()
+    try:
+        rhs = incident_trace(disc, K, dirs)
+        rhs_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rhs, reference(dirs))
+    assert np.array_equal(incident_trace(disc, K, dirs[5]), reference(dirs[5]))
+    assert rhs_peak <= 1.3 * rhs.nbytes
+
+    phi1 = np.tile(solver.solve(rhs[:, :8])[0], 128)
+    w = np.pi / disc.half
+    E = -1j * K * w * (dirs @ disc.normal_raw.T) * np.exp(-1j * K * (dirs @ disc.x.T))
+    tracemalloc.start()
+    try:
+        far = solver.far_field(phi1, dirs)
+        far_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(far, E @ phi1)
+    assert far_peak <= far.nbytes + 1.5 * E.nbytes
+
+
 # --- the windowed modified-Helmholtz split, above k diam of about 17.5 ------
 def _rel_max(A, B):
     return np.abs(A - B).max() / np.abs(B).max()

@@ -134,6 +134,11 @@ class TestPhiZ:
 
 
 class TestIndicators:
+    def test_matrix_apply_is_the_product_with_the_transpose(self, ff_star):
+        # F u for each row u of P, the GEMM the indicator core has always made
+        P = phi_z(K, ff_star.directions, np.random.default_rng(2).uniform(-4, 4, size=(9, 2)))
+        assert np.array_equal(ff_star.apply(P), P @ ff_star.entries.T)
+
     def test_zero_matrix(self):
         ff = FarFieldMatrix(k=K, entries=np.zeros((16, 16), complex))
         assert indicator_values(ff, (0.3, 0.1), 4.0, "ip")[0] == 0.0

@@ -1,9 +1,12 @@
 """Verification checks: identities, equivalence, decay, overlap scoring."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from plate_echo.forward import FarFieldMatrix, assemble_far_field_matrix
+from plate_echo.forward import FarFieldMatrix, ScatteringSolver, assemble_far_field_matrix
 from plate_echo.geometry import make_curve
 from plate_echo.imaging import ImagingGrid, indicator_values
 from plate_echo.verify import (
@@ -143,6 +146,15 @@ class TestEquivalenceChain:
         expected = float(max(eps_lower.max(), eps_upper.max(), 0.0))
         assert check_equivalence_chain(ff_star, sample_points) == expected
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_refused(self, ff_star, bad, monkeypatch):
+        # a NaN point used to give slack 0.0, a pass; refused by value before any F u
+        monkeypatch.setattr(FarFieldMatrix, "apply", lambda self, P: pytest.fail("F applied"))
+        with pytest.raises(ValueError, match=rf"finite, got \[\[{bad}, 0.0\]\]"):
+            check_equivalence_chain(ff_star, [[bad, 0.0]])
+        with pytest.raises(ValueError, match=str(bad)):
+            indicator_values(ff_star, [[1.0, 2.0], [0.5, bad]], 1.0, "norm")
+
 
 class TestDecaySlope:
     RADII = np.geomspace(10.0, 100.0, 12)
@@ -186,6 +198,38 @@ class TestDecaySlope:
     def test_radii_must_increase(self, ff_star):
         with pytest.raises(ValueError):
             check_decay_slope(ff_star, "ip", 1.0, [10.0, 9.0, 11.0])
+
+    @pytest.mark.parametrize("radii, bad", [
+        ([0.0, 10.0, 20.0], "[0.0]"), ([-20.0, -10.0], "[-20.0, -10.0]"),
+        ([10.0, np.inf], "[inf]"), ([10.0, np.nan, 30.0], "[nan]"),
+    ])
+    def test_radii_must_be_finite_and_positive(self, ff_star, radii, bad, monkeypatch, capfd):
+        # these used to reach polyfit: LAPACK printed DLASCL errors and the SVD failed
+        monkeypatch.setattr(FarFieldMatrix, "apply", lambda self, P: pytest.fail("F applied"))
+        with pytest.raises(ValueError, match=f"finite and > 0, got {re.escape(bad)}"):
+            check_decay_slope(ff_star, "ip", 1.0, radii)
+        assert capfd.readouterr().err == ""
+
+    def test_operator_slopes_match_the_matrix(self, star_curve, ff_star_many_dirs):
+        # F applied through the solver (ring blocks of 64 points, one solve each)
+        # against the tabulated 1024 x 1024 matrix of the same solver setup
+        op = ScatteringSolver(star_curve, K, 128).far_field_operator(1024)
+        whiches, rhos = ("ip", "ip", "norm", "norm"), (1.0, 2.0, 1.0, 2.0)
+        slopes = check_decay_slope(op, whiches, rhos, self.RADII)
+        assert np.allclose(slopes, check_decay_slope(ff_star_many_dirs, whiches, rhos, self.RADII),
+                           rtol=0, atol=1e-12)
+
+    def test_operator_decay_check_tabulates_no_matrix(self, star_curve):
+        # the four-pair check peaks at 26.2 MB on the matrix (16.8 MB of entries)
+        solver = ScatteringSolver(star_curve, K, 128)
+        tracemalloc.start()
+        try:
+            check_decay_slope(solver.far_field_operator(1024), ("ip", "ip", "norm", "norm"),
+                              (1.0, 2.0, 1.0, 2.0), self.RADII)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13e6
 
 
 class TestReconstructionOverlap:
