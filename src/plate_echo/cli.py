@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .farfield import load_farfield, save_farfield
+from .farfield import load_farfield, save_farfield, uniform_angles
 from .geometry import make_curve
 from .imaging import (
     ApertureMask,
@@ -87,8 +87,10 @@ class ExperimentConfig:
             raise ConfigError("k, rho and extent must be finite")
         if self.k <= 0:
             raise ConfigError("k must be positive")
-        if self.n_dirs < 4:
-            raise ConfigError("n_dirs must be >= 4")
+        try:
+            uniform_angles(self.n_dirs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.quad_nodes < 16 or self.quad_nodes % 2:
             raise ConfigError("quad_nodes must be an even integer >= 16")
         if self.which not in ("ip", "norm"):
@@ -101,8 +103,9 @@ class ExperimentConfig:
             raise ConfigError("extent needs four values: x_min, x_max, y_min, y_max")
         if not (self.extent[0] < self.extent[1] and self.extent[2] < self.extent[3]):
             raise ConfigError("extent needs x_min < x_max and y_min < y_max")
-        if len(self.resolution) != 2 or self.resolution[0] < 2 or self.resolution[1] < 2:
-            raise ConfigError("grid resolution must be two values >= 2")
+        if len(self.resolution) != 2 or not all(isinstance(v, (int, np.integer)) and v >= 2
+                                                for v in self.resolution):
+            raise ConfigError("grid resolution must be two integers >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         for idx in (*self.mask_rows, *self.mask_cols):

@@ -6,6 +6,8 @@ or scipy.
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -15,6 +17,9 @@ import numpy as np
 # Entry lines per parsing block of load_farfield: about 2^16 lines, a 2 MB
 # table of four columns, whatever N is.
 LOAD_BLOCK_LINES = 1 << 16
+# Entry lines per formatting block of save_farfield: its text columns and digit
+# arrays stay a few MB whatever N is.
+SAVE_BLOCK_LINES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,20 @@ class FarFieldMatrix:
         return P @ self.entries.T
 
 
+def uniform_angles(n_dirs: int) -> np.ndarray:
+    """theta_i = 2 pi i / n_dirs for i = 0..n_dirs-1; n_dirs must be an integer >= 4."""
+    try:
+        n = operator.index(n_dirs)
+    except TypeError:
+        n = 0
+    if n < 4:
+        raise ValueError(f"n_dirs must be >= 4 and an integer, not {n_dirs!r}")
+    return 2.0 * np.pi * np.arange(n) / n
+
+
 def uniform_directions(n_dirs: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    """(n_dirs, 2) unit vectors at the uniform_angles(n_dirs)."""
+    theta = uniform_angles(n_dirs)
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
@@ -48,16 +65,170 @@ def save_farfield(ff: FarFieldMatrix, path) -> None:
     """Write the far-field matrix file.
 
     UTF-8 text: header '# biharmonic-farfield v1 N=<N> k=<k> shape=<kind>',
-    then N^2 lines 'i j re im' (1-based indices, row-major, 17 significant
-    digits).
+    then N^2 lines 'i j re im' (1-based indices, row-major, each value as
+    Python's '%.17g' formats it). A matrix that load_farfield would refuse
+    (not N x N, a non-finite entry, k not positive and finite, whitespace in
+    the shape name) raises ValueError before the file is opened. The lines
+    are formatted SAVE_BLOCK_LINES at a time by _g17_lines.
     """
-    n = ff.n_dirs
-    # joined with the row index, these pieces give the template of one row's N lines
-    pieces = ["", *(f" {j + 1} %.17g %.17g\n" for j in range(n))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# biharmonic-farfield v1 N={n} k={ff.k:.17g} shape={ff.shape_kind}\n")
-        for i, row in enumerate(np.ascontiguousarray(ff.entries)):
-            fh.write(str(i + 1).join(pieces) % tuple(row.view(float).tolist()))
+    entries = np.asarray(ff.entries)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
+        raise ValueError(f"far-field entries must be an N x N matrix, N >= 1, not shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("far-field entries must be finite")
+    if not 0.0 < ff.k < np.inf:
+        raise ValueError(f"far-field k must be positive and finite, not {ff.k!r}")
+    if "".join(ff.shape_kind.split()) != ff.shape_kind:
+        raise ValueError(f"far-field shape name {ff.shape_kind!r} must not contain whitespace")
+    n = entries.shape[0]
+    values = np.ascontiguousarray(entries, dtype=complex).view(float).reshape(n * n, 2)
+    # 'i ' for i = 1..N in fixed columns, NUL-padded on the left, gathered per block
+    width = len(str(n))
+    index = "".join(str(i).rjust(width, "\0") + " " for i in range(1, n + 1)).encode()
+    index = np.frombuffer(index, np.uint8).reshape(n, width + 1)
+    with open(path, "wb") as fh:
+        fh.write(f"# biharmonic-farfield v1 N={n} k={ff.k:.17g} shape={ff.shape_kind}\n".encode("utf-8"))
+        for a in range(0, n * n, SAVE_BLOCK_LINES):
+            i, j = np.divmod(np.arange(a, min(a + SAVE_BLOCK_LINES, n * n)), n)
+            head = np.hstack([np.take(index, i, axis=0), np.take(index, j, axis=0)])
+            fh.write(_g17_lines(values[a:a + SAVE_BLOCK_LINES], head))
+
+
+# _g17_lines builds each value's '%.17g' text in fixed columns, zeroes the
+# columns its layout does not show and drops the zero bytes:
+#   sign | 0.000 | d1..d17 | . | d2..d17 | e, exponent sign, 3 digits | separator
+_INT, _DOT, _FRAC, _EXP, _SEP = 6, 23, 24, 40, 45
+_G17_COLUMNS = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"e+000 ", np.uint8)
+# Layouts: decimal exponent X = -4..16 in fixed notation (index X + 4), then
+# scientific with a 2-digit and with a 3-digit exponent.
+_SCI2, _SCI3 = 21, 22
+# 10^p for the scales p = 16 - X with X = floor(log10|x|) +- 1, |x| in [1e-250, 1e250]
+_P_MIN, _P_MAX = -235, 268
+
+
+@functools.cache
+def _g17_tables():
+    """The powers (hi, hi's two halves, lo) of 10^p for p = _P_MIN.._P_MAX, groups and masks.
+
+    hi + lo is 10^p to about 2^-106 relative: both are quotients of exact
+    integers, which Python rounds correctly. groups[g] is the 4 ASCII digits
+    of g as one uint32. masks[layout, kept] keeps (1) or zeroes (0) the
+    columns of a value with kept significant digits (trailing zeros
+    dropped). Built on first use, so an import pays nothing.
+    """
+    hi, lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        h = num / den
+        m, e = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * e - m * den) / (den * e))
+    hi, lo = np.array(hi), np.array(lo)
+    masks = np.zeros((23, 18, len(_G17_COLUMNS)), np.uint8)
+    masks[..., 0] = masks[..., _SEP] = True           # the sign: zeroed later unless negative
+    for kept in range(1, 18):
+        for x in range(-4, 17):
+            m = masks[x + 4, kept]
+            if x < 0:                                  # 0.0001234
+                m[1:2 - x] = True
+                m[_INT:_INT + kept] = True
+            else:                                      # 123.4, 1234
+                m[_INT:_INT + x + 1] = True
+                m[_FRAC + x:_FRAC + kept - 1] = m[_DOT] = kept > x + 1
+        for lay, exp_digits in ((_SCI2, 2), (_SCI3, 3)):   # 1.234e+05, 1.234e-300
+            m = masks[lay, kept]
+            m[_INT] = True
+            m[_FRAC:_FRAC + kept - 1] = m[_DOT] = kept > 1
+            m[_EXP:_EXP + 2] = True
+            m[_SEP - exp_digits:_SEP] = True
+    groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    groups = groups.astype(np.uint8).view(np.uint32).ravel()
+    return (hi, *_split(hi), lo), groups, masks.reshape(23 * 18, -1)
+
+
+def _split(a):
+    """Dekker's split of a into two halves of 26 bits: a = hi + lo exactly."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled(a, X, powers):
+    """a * 10^(16 - X) as a double-double (hi, lo), within about 1e-14 when it is near 1e16..1e17.
+
+    Dekker's exact product of a with the double nearest 10^p, plus a times
+    the rest of 10^p.
+    """
+    at = 16 - X - _P_MIN
+    p, p_hi, p_lo, rest = (np.take(t, at) for t in powers)
+    a_hi, a_lo = _split(a)
+    prod = a * p
+    tail = ((a_hi * p_hi - prod) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo + a * rest
+    hi = prod + tail
+    return hi, tail - (hi - prod)
+
+
+def _g17_lines(values, head=None) -> bytes:
+    """Text lines of the rows of the (L, m) float64 values, byte for byte as Python formats them.
+
+    Line r is the nonzero bytes of head[r], when an (L, h) uint8 head is
+    given, then row r's values as '%.17g', joined by ' ' and ended by '\n'.
+    The 17 digits of |x| in [1e-250, 1e250], X = floor(log10|x|), are
+    round(|x| 10^(16 - X)) in double-double arithmetic; a value within 1e-9
+    of a rounding tie, zero, or outside that range (inf and nan too) takes
+    Python's own '%.17g'.
+    """
+    powers, groups, masks = _g17_tables()
+    x = np.ascontiguousarray(values, dtype=float).reshape(len(values), -1)
+    L, m = x.shape
+    a = np.abs(x.ravel())
+    direct = (a >= 1e-250) & (a <= 1e250)
+    a[~direct] = 1.0
+    X = np.floor(np.log10(a)).astype(np.int64)         # can be one off next to a power of ten
+    hi, lo = _scaled(a, X, powers)
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    X += above
+    X -= below
+    redo = above | below
+    hi[redo], lo[redo] = _scaled(a[redo], X[redo], powers)
+    whole = np.floor(lo)
+    frac = lo - whole
+    direct &= np.abs(frac - 0.5) > 1e-9
+    D = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X += carry
+    group = np.empty((5, L * m), np.int64)             # D as 4-digit groups, the first 1..9
+    for g in range(4, 0, -1):
+        q = D // 10000
+        group[g] = D - 10000 * q
+        D = q
+    group[0] = D
+    digits = np.take(groups, group.T).view(np.uint8)[:, 3:]
+    kept = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=-1)
+    layout = np.where((X >= -4) & (X < 17), X + 4, np.where(np.abs(X) < 100, _SCI2, _SCI3))
+
+    h = 0 if head is None else head.shape[1]
+    chars = np.empty((L, h + m * len(_G17_COLUMNS)), np.uint8)
+    if head is not None:
+        chars[:, :h] = head
+    c = chars[:, h:].reshape(L, m, -1)
+    c[...] = _G17_COLUMNS
+    c[..., _INT:_FRAC - 1] = digits.reshape(L, m, 17)
+    c[..., _FRAC:_EXP] = digits[:, 1:].reshape(L, m, 16)
+    c[..., _EXP + 1:_SEP] = np.take(groups, np.abs(X)).view(np.uint8).reshape(L, m, 4)
+    c[..., _EXP + 1] = np.where(X < 0, ord("-"), ord("+")).reshape(L, m)
+    c[:, -1, _SEP] = ord("\n")
+    c *= np.take(masks, layout * 18 + kept, axis=0).reshape(L, m, -1)
+    c[..., 0] *= np.signbit(x)
+    for at in np.flatnonzero(~direct).tolist():
+        text = b"%.17g" % x.flat[at]
+        r, col = divmod(at, m)
+        c[r, col, :_SEP] = 0
+        c[r, col, :len(text)] = np.frombuffer(text, np.uint8)
+    chars = chars.ravel()
+    return chars[chars != 0].tobytes()
 
 
 def load_farfield(path) -> FarFieldMatrix:

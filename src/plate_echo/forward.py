@@ -415,17 +415,13 @@ class ScatteringSolver:
 
     def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
         """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations."""
-        if n_dirs < 4:
-            raise ValueError("n_dirs must be >= 4")
         dirs = uniform_directions(n_dirs)
         entries = self.far_field(self.solve(incident_trace(self.disc, self.k, dirs))[0], dirs)
         return FarFieldMatrix(k=self.k, entries=entries, shape_kind=self.disc.curve.kind)
 
     def far_field_operator(self, n_dirs: int) -> FarFieldOperator:
         """F over n_dirs uniform directions, applied through this factorization, never tabulated."""
-        if n_dirs < 4:
-            raise ValueError("n_dirs must be >= 4")
-        return FarFieldOperator(self, n_dirs)
+        return FarFieldOperator(self, len(uniform_directions(n_dirs)))   # refuses all but integers >= 4
 
 
 @dataclass(frozen=True)

@@ -183,9 +183,9 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     |u^H G u| with G = Q^T diag(conj e) B (nc x nc).
     """
     _check_indicator(rho, which)
+    if len(resolution) != 2 or not all(isinstance(v, (int, np.integer)) and v >= 2 for v in resolution):
+        raise ValueError(f"grid resolution must be two integers >= 2, not {tuple(resolution)}")
     nx, ny = (int(v) for v in resolution)
-    if nx < 2 or ny < 2:
-        raise ValueError("grid resolution must be >= 2 per axis")
     x_min, x_max, y_min, y_max = bounds = [float(v) for v in extent]
     if not (np.all(np.isfinite(bounds)) and x_min < x_max and y_min < y_max):
         raise ValueError(f"grid extent must be finite and increasing, not {tuple(bounds)}")

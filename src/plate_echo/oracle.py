@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .farfield import FarFieldMatrix
+from .farfield import FarFieldMatrix, uniform_angles
 from .specfun import bessel_k, bessel_k_deriv, hankel1, hankel1_deriv
 
 
@@ -117,10 +117,10 @@ def _far_field(ra, theta_x, theta_d):
 def disk_far_field_matrix(a: float, k: float, n_dirs: int) -> FarFieldMatrix:
     """Multi-static far-field matrix of the clamped disk on uniform directions.
 
-    Entries u_inf(xhat_i, d_j) for theta_i = 2 pi i / n_dirs. Uses the
-    direction-independent mode responses, so one mode solve serves every
-    direction.
+    Entries u_inf(xhat_i, d_j) for theta_i = 2 pi i / n_dirs, n_dirs an
+    integer >= 4. Uses the direction-independent mode responses, so one mode
+    solve serves every direction.
     """
+    theta = uniform_angles(n_dirs)
     _, ra, _ = _converged_modes(a, k)
-    theta = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     return FarFieldMatrix(k=float(k), entries=_far_field(ra, theta, theta), shape_kind="circle")

@@ -127,6 +127,14 @@ OUT_OF_RANGE = ("[experiment]\nn_dirs = 3\n", "[imaging]\nrho = 0\n", "[imaging]
                 "[experiment]\nshape = hexagon\n", "[output]\nwrite_pgm = maybe\n")
 
 
+@pytest.mark.parametrize("fields", [{"n_dirs": 4.5}, {"n_dirs": 64.0}, {"resolution": (2.5, 10)},
+                                    {"resolution": (10, 10.0)}])
+def test_config_refuses_fractional_counts(fields):
+    # these passed validate(): n_dirs = 4.5 built a 5 x 5 matrix, resolution 2.5 a 2-column grid
+    with pytest.raises(ConfigError, match="n_dirs must be >= 4|resolution"):
+        ExperimentConfig(**fields).validate()
+
+
 def test_config_validation_errors(parse_text):
     with pytest.raises(Exception):
         parse_text("[experiment]\nk = 0\n")

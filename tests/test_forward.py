@@ -23,6 +23,7 @@ from plate_echo.forward import (
     save_farfield,
     uniform_directions,
 )
+from plate_echo.farfield import uniform_angles
 from plate_echo.geometry import SHAPE_KINDS, ParametricCurve, make_curve
 from plate_echo.oracle import disk_far_field_matrix
 
@@ -682,6 +683,23 @@ def test_far_field_operator_refuses_too_few_directions():
     solver = ScatteringSolver(make_curve("star"), K, 64)
     with pytest.raises(ValueError, match="n_dirs must be >= 4"):
         solver.far_field_operator(3)
+
+
+@pytest.mark.parametrize("n_dirs", [4.5, 64.0, 3, 2, 0, True, "64"])
+def test_direction_counts_must_be_integers_of_at_least_four(n_dirs):
+    # 4.5 used to give a 5 x 5 matrix on the angles 2 pi i / 4.5, and True one direction
+    solver = ScatteringSolver(make_curve("star"), K, 64)
+    for build in (uniform_angles, uniform_directions, solver.far_field_matrix,
+                  solver.far_field_operator, lambda n: disk_far_field_matrix(1.0, K, n)):
+        with pytest.raises(ValueError, match="n_dirs must be >= 4"):
+            build(n_dirs)
+
+
+def test_direction_counts_take_numpy_integers():
+    n = np.int64(6)
+    assert np.array_equal(uniform_angles(n), 2.0 * np.pi * np.arange(6) / 6)
+    assert disk_far_field_matrix(1.0, K, n).n_dirs == 6
+    assert ScatteringSolver(make_curve("star"), K, 64).far_field_operator(n).n_dirs == 6
 
 
 def test_incident_trace_and_far_field_write_into_their_outputs():

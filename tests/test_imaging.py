@@ -259,6 +259,11 @@ class TestGrid:
     def test_resolution_precondition(self, ff_star):
         with pytest.raises(ValueError):
             evaluate_grid(ff_star, EXTENT, (1, 10), 4.0, "ip")
+        # a fractional count used to be truncated: (2.9, 5) built 2 columns
+        for bad in ((2.9, 5), (10, 10.0), (True, 10)):
+            with pytest.raises(ValueError, match="resolution"):
+                evaluate_grid(ff_star, EXTENT, bad, 4.0, "ip")
+        assert evaluate_grid(ff_star, EXTENT, (np.int64(3), 2), 4.0, "ip").values.shape == (2, 3)
         with pytest.raises(ValueError):
             evaluate_grid(ff_star, EXTENT, (10, 10, 7), 4.0, "ip")
         # non-finite, reversed (min y would land on the PGM's top row) and flat extents
