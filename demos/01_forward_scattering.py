@@ -19,8 +19,8 @@ print(f"shape: {star.kind}, params {star.params}, diameter {star.diameter():.3f}
 
 # one discretization, assembly and factorization, reused by every solve below
 solver = ScatteringSolver(star, k, n_nodes=128)
-m = 2 * solver.disc.n_nodes
-print(f"system: {m}x{m} dense, left half complex, right half real")
+size, m = 2 * solver.disc.n_nodes, solver.group
+print(f"system: {size}x{size}, split by the star's {m}-fold symmetry into {m} systems of {size // m}")
 
 d = np.array([1.0, 0.0])
 phi1, phi2 = solver.solve(incident_trace(solver.disc, k, d[None]))

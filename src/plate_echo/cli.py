@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import operator
 import os
 import sys
 import tempfile
@@ -62,6 +63,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_index(value) -> bool:
+    """The integer rule uniform_angles applies to n_dirs: operator.index takes 128, not 128.0."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description; defaults reproduce the benchmark setup."""
@@ -91,7 +101,7 @@ class ExperimentConfig:
             uniform_angles(self.n_dirs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.quad_nodes < 16 or self.quad_nodes % 2:
+        if not _is_index(self.quad_nodes) or self.quad_nodes < 16 or self.quad_nodes % 2:
             raise ConfigError("quad_nodes must be an even integer >= 16")
         if self.which not in ("ip", "norm"):
             raise ConfigError("which must be 'ip' or 'norm'")
@@ -103,10 +113,9 @@ class ExperimentConfig:
             raise ConfigError("extent needs four values: x_min, x_max, y_min, y_max")
         if not (self.extent[0] < self.extent[1] and self.extent[2] < self.extent[3]):
             raise ConfigError("extent needs x_min < x_max and y_min < y_max")
-        if len(self.resolution) != 2 or not all(isinstance(v, (int, np.integer)) and v >= 2
-                                                for v in self.resolution):
+        if len(self.resolution) != 2 or not all(_is_index(v) and v >= 2 for v in self.resolution):
             raise ConfigError("grid resolution must be two integers >= 2")
-        if self.seed < 0:
+        if not _is_index(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         for idx in (*self.mask_rows, *self.mask_cols):
             if not 1 <= idx <= self.n_dirs:

@@ -38,6 +38,8 @@ and from n(t).(x(t)-x(s)) ~ (1/2) n.x'' (t-s)^2 at coincident points.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,10 @@ class BoundaryDiscretization:
 
 def discretize(curve: ParametricCurve, n_nodes: int, offset: float = 0.0) -> BoundaryDiscretization:
     """Sample the curve at 2n equispaced nodes (optionally phase-shifted)."""
+    try:
+        n_nodes = operator.index(n_nodes)
+    except TypeError:
+        raise ValueError(f"n_nodes must be an even integer >= 16, not {n_nodes!r}") from None
     if n_nodes < 16 or n_nodes % 2:
         raise ValueError("n_nodes must be an even integer >= 16")
     if not np.isfinite(offset):
@@ -120,23 +126,39 @@ def kress_log_weights(half: int) -> np.ndarray:
 KERNEL_ROW_BLOCKS = 16
 
 
-def _maue_product(X):
-    """D X D for the Fourier differentiation matrix D on the equispaced nodes.
+def _maue_product(X, group=1):
+    """Rows 0..h-1 of D A D, D the Fourier differentiation matrix on n equispaced nodes.
 
-    D is circulant with symbol i kappa (Nyquist mode dropped) and
-    antisymmetric, so differentiating the columns (i kappa_p) and then the rows
-    from the right (-i kappa_q) multiplies the 2D spectrum by kappa_p kappa_q.
+    A is n x n with first h = n/group rows X and A[i + h, j + h] = A[i, j]
+    (indices mod n); group 1 is a general A = X. D is circulant with symbol
+    i kappa (Nyquist mode dropped) and antisymmetric, so differentiating the
+    columns (i kappa_p) and then the rows from the right (-i kappa_q)
+    multiplies the 2D spectrum by kappa_p kappa_q. A's spectrum is nonzero
+    only at p = r + l group, r = -q mod group, and its column q there is the
+    length-h transform over X's rows s with the twiddles e^{-2 pi i r s/n}:
+    no n x n array is formed.
     """
-    m = X.shape[0]
-    kappa = np.fft.fftfreq(m, 1.0 / m)
-    kappa[m // 2] = 0.0
+    h, n = X.shape
+    kappa = np.fft.fftfreq(n, 1.0 / n)
+    kappa[n // 2] = 0.0
+    r = -np.arange(group) % group                     # r of the columns q = u group + c, by c
     # fft2 and ifft2 axis by axis, last axis first as they do, in one buffer
     Y = X.copy()
+    Y3 = Y.reshape(h, h, group)                       # [s or l, u, c]: column q = u group + c
     np.fft.fft(Y, axis=1, out=Y)
+    if group > 1:
+        twiddle = np.exp(-2j * np.pi / n * np.outer(np.arange(h), r))[:, None, :]
+        Y3 *= twiddle
     np.fft.fft(Y, axis=0, out=Y)
-    Y *= np.outer(kappa, kappa)
-    np.fft.ifft(Y, axis=1, out=Y)
-    np.fft.ifft(Y, axis=0, out=Y)
+    kappa3 = kappa.reshape(h, group)
+    Y3 *= kappa3[:, None, r] * kappa3                 # kappa_p kappa_q at p = r + l group
+    if group > 1:
+        np.fft.ifft(Y, axis=0, out=Y)
+        Y3 *= twiddle.conj()
+        np.fft.ifft(Y, axis=1, out=Y)
+    else:
+        np.fft.ifft(Y, axis=1, out=Y)
+        np.fft.ifft(Y, axis=0, out=Y)
     return Y
 
 
@@ -187,7 +209,8 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
             kernels[4] *= chi
             kernels[6] *= chi
     J0, Y0, J1, Y1, I0, K0, I1, K1 = kernels
-    lo_r = slice(rows.start + m2, rows.stop + m2)
+    h = left.shape[0] // 2                            # the lower blocks start at row h
+    lo_r = slice(rows.start + h, rows.stop + h)
 
     def split(out, X1, X):
         """out = R o X1 + (pi/n) X2 for the split X = X1 lsin + X2. Overwrites X."""
@@ -225,20 +248,25 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
     return kernels
 
 
-def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(disc: BoundaryDiscretization, k: float,
+                    group: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Nystrom matrix of the 2x2 block operator as its column halves (left, right).
 
     left is the complex [A11; A21], right the real [A12; A22] (S~ and K~' - I
     are real), each 2 n_nodes x n_nodes: np.hstack((left, right)) is 4n x 4n.
+    With group m > 1, for a curve that rotation by 2 pi/m maps onto itself
+    and m dividing n_nodes, every block has A[i + h, j + h] = A[i, j] with
+    h = n_nodes/m (indices mod n_nodes), and only each block's first h rows
+    are built: left and right are then 2h x n_nodes.
 
-    The system is built in row blocks [a:b] of the nodes. For each, _fill_block
+    The rows are built in blocks [a:b] of nodes. For each, _fill_block
     evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on the
     upper trapezoid [a:b, a:] and fills those entries of all four blocks; a
-    second _fill_block call fills the mirrored block [b:, a:b] from the same
+    second _fill_block call fills the mirrored block [b:h, a:b] from the same
     kernel values transposed and its own geometry. So the kernels are
     evaluated once per symmetric node pair, and besides the result only the
     Maue product's FFT buffer, its kappa weights and the real nu_i . nu_j
-    matrix nunu are n_nodes x n_nodes.
+    matrix nunu are h x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
     Kress's split of K_0, K_1 by I_0, I_1 cancels terms of size I_0(k diam), diam the curve's
@@ -247,34 +275,36 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     if not 0 < k < np.inf:
         raise ValueError(f"assemble_system requires a finite k > 0, got k={k!r}")
     m2 = disc.n_nodes
+    h = m2 // group
     speed = disc.speed
     w = np.pi / disc.half
     R = kress_log_weights(disc.half)
-    step = -(-m2 // KERNEL_ROW_BLOCKS)
+    step = -(-h // KERNEL_ROW_BLOCKS)
     diam = max(disc.curve.diameter(), 1e-30)
     a_win = WINDOW_KAPPA / (k * speed.max())
     kress = 2.0 * a_win >= np.pi or np.finfo(float).eps * bessel_i(0, k * diam) <= WINDOW_THETA
     window = None if kress else (a_win, a_win / 5.0)
 
-    left = np.empty((2 * m2, m2), dtype=complex)
-    right = np.empty((2 * m2, m2))
-    for a in range(0, m2, step):
-        b = min(a + step, m2)
+    left = np.empty((2 * h, m2), dtype=complex)
+    right = np.empty((2 * h, m2))
+    for a in range(0, h, step):
+        b = min(a + step, h)
         kernels = _fill_block(left, right, disc, k, R, slice(a, b), slice(a, m2), diam, window)
-        if b < m2:
-            _fill_block(left, right, disc, k, R, slice(b, m2), slice(a, b), diam, window,
-                        [K[:, b - a:].T for K in kernels])
+        if b < h:
+            _fill_block(left, right, disc, k, R, slice(b, h), slice(a, b), diam, window,
+                        [K[:, b - a:h - a].T for K in kernels])
 
     # --- diagonals of the splits, R_0 diag1 + (pi/n) diag2, and the +-1 -------
     # (diag1 = 0 for both double layers, so theirs are (pi/n) curvature +- 1)
-    diag = np.arange(m2)
-    low = diag + m2
-    curvature = disc.curvature_term / (2.0 * np.pi) * w
-    log_speed = np.log(0.5 * k * speed) + EULER_GAMMA
+    diag = np.arange(h)
+    low = diag + h
+    speed_h = speed[:h]
+    curvature = disc.curvature_term[:h] / (2.0 * np.pi) * w
+    log_speed = np.log(0.5 * k * speed_h) + EULER_GAMMA
     left.real[diag, diag] = curvature + 1.0
     left.imag[diag, diag] = 0.0
-    right[diag, diag] = (R[0] * (-(1.0 / (2.0 * np.pi)) * speed)
-                         + (-(1.0 / np.pi) * log_speed * speed) * w)
+    right[diag, diag] = (R[0] * (-(1.0 / (2.0 * np.pi)) * speed_h)
+                         + (-(1.0 / np.pi) * log_speed * speed_h) * w)
     right[low, diag] = curvature - 1.0
     left.real[low, diag] = R[0] * -(1.0 / (4.0 * np.pi)) + (-(1.0 / (2.0 * np.pi)) * log_speed) * w
     left.imag[low, diag] = 0.25 * w
@@ -282,15 +312,15 @@ def assemble_system(disc: BoundaryDiscretization, k: float) -> tuple[np.ndarray,
     # --- block (2,1): hypersingular block through the Maue split -------------
     # A_nu = A_phi o (nu_i . nu_j |x'_j|), that factor's diagonal being |x'_i|;
     # A_phi sits in the block until DAD is taken from it
-    block_T = left[m2:]
-    DAD = _maue_product(block_T)
+    block_T = left[h:]
+    DAD = _maue_product(block_T, group)
     nu = disc.normal
-    nunu = nu @ nu.T
+    nunu = nu[:h] @ nu.T
     nunu *= speed
-    nunu[diag, diag] = speed
+    nunu[diag, diag] = speed_h
     nunu *= 2.0 * k**2
     block_T *= nunu
-    DAD *= (2.0 / speed)[:, None]
+    DAD *= (2.0 / speed_h)[:, None]
     block_T += DAD
     return left, right
 
@@ -312,49 +342,89 @@ def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
     return out
 
 
+def _pairs(f, A, X, **kwargs):
+    """f(A, X) for complex X; a real A (or LU of one) meets X's interleaved (re, im) columns."""
+    if np.iscomplexobj(A[0]):
+        return f(A, X, **kwargs)
+    return np.ascontiguousarray(f(A, X.view(float), **kwargs)).view(complex)
+
+
+def _stack(m, h, dtype):
+    """An empty stack of m Fortran-ordered h x h matrices, which LAPACK factors in place."""
+    return np.empty((m, h, h), dtype=dtype).transpose(0, 2, 1)
+
+
+def _lu_each(lu):
+    """Factor each matrix of the stack in place: (lu, piv), which one lu_solve call takes."""
+    piv = np.empty(lu.shape[:2], dtype=np.int32)
+    for a, p in zip(lu, piv):
+        p[...] = lu_factor(a, overwrite_a=True, check_finite=False)[1]
+    return lu, piv
+
+
 class ScatteringSolver:
     """One boundary discretization, assembled and factored once.
 
-    The system [[A11, A12], [A21, A22]] is factored through its real (2,2)
-    block A22 = K~' - I, a second-kind operator: with W = A12 A22^-1 (real) and
-    the Schur complement S = A11 - W A21, a solve is
+    With m = gcd(curve.rotation_order, n_nodes) (n_nodes for the circle, 1
+    without symmetry) every block has A[i + h, j + h] = A[i, j], h = n_nodes/m,
+    so assemble_system builds each block's first h rows, and a DFT over the
+    group index splits the system into m systems of size 2h, one per character
+    c (Allgower, Boehmer, Georg & Miranda, SINUM 29, 1992): block X of c is
+    sum_g X_g e^{2 pi i g c/m} over the h x h column blocks X_g of those rows.
+    Each character's [[A11, A12], [A21, A22]] is factored through its block
+    A22 = K~' - I, a second-kind operator: with W = A12 A22^-1 and the Schur
+    complement S = A11 - W A21, a solve is
 
-        phi1 = S^-1 (b1 - W b2),    phi2 = A22^-1 (b2 - A21 phi1),
+        phi1 = S^-1 (b1 - W b2),    phi2 = A22^-1 (b2 - A21 phi1).
 
-    which costs one real and one complex n x n LU instead of the complex LU of
-    the whole 2n x 2n system. Every call to `solve`, `far_field_matrix` or
-    `far_field_operator` reuses the factorization, so any number of
-    right-hand sides cost one assembly, and each solve is checked against the
-    full system. The system is held once, as `left` = [A11; A21] (complex)
-    and `right` = [A12; A22]. S is written into its own buffer one column
-    block at a time and factored there, so no full-size temporary is made on
-    the way.
+    For m <= 2 the characters of the real [A12; A22] are real, and A22 and W
+    meet complex columns as interleaved (re, im) pairs. Every call to `solve`,
+    `far_field_matrix` or `far_field_operator` reuses the factorization, and
+    each solve is checked against the full system. `left` and `right` hold the
+    characters' [A11; A21] and [A12; A22] as (m, 2h, h) stacks; S is built in
+    its own buffer one column block at a time and factored there.
     """
 
     def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
         self.k = float(k)
         self.disc = discretize(curve, n_nodes, offset=node_offset)
+        m = self.group = math.gcd(curve.rotation_order, self.disc.n_nodes)
+        h = self.disc.n_nodes // m
         with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
-            self.left, self.right = assemble_system(self.disc, self.k)
-            self.system_norm = np.hypot(np.linalg.norm(self.left), np.linalg.norm(self.right))
+            left, right = assemble_system(self.disc, self.k, m)
+            # every block row of the full system holds the entries of the first, shifted
+            self.system_norm = np.sqrt(m) * np.hypot(np.linalg.norm(left), np.linalg.norm(right))
         if not np.isfinite(self.system_norm):
             raise RuntimeError(f"the assembled system overflows at k={self.k:g}; nothing can be solved")
-        m2 = n_nodes
-        self.lu22 = lu_factor(self.right[m2:], check_finite=False)
+        # the characters' blocks, written over the column blocks X_g; (m, 2h, h) views
+        left = left.reshape(2 * h, m, h)
+        np.fft.ifft(left, axis=1, norm="forward", out=left)
+        right = right.reshape(2 * h, m, h)
+        if m > 2:
+            right = np.fft.ifft(right, axis=1, norm="forward")
+        elif m == 2:
+            right[:, 0], right[:, 1] = right[:, 0] + right[:, 1], right[:, 0] - right[:, 1]
+        self.left, self.right = left.transpose(1, 0, 2), right.transpose(1, 0, 2)
+        A22 = _stack(m, h, right.dtype)
+        A22[...] = self.right[:, h:]
+        self.lu22 = _lu_each(A22)
         # W = A12 A22^-1 from A22^T W^T = A12^T
-        self.W = lu_solve(self.lu22, self.right[:m2].T, trans=1).T
-        # S = A11 - W A21, one column block at a time: W times a block's interleaved
-        # (re, im) columns of A21 is one real GEMM. S is Fortran-ordered so LAPACK
-        # factors it in place; non-finite entries (a singular A22) flow on to the
-        # finiteness check in solve.
-        S = np.empty((m2, m2), dtype=complex, order="F")
-        A21 = self.left[m2:].view(float)
-        step = -(-m2 // KERNEL_ROW_BLOCKS)
-        for a in range(0, m2, step):
-            b = min(a + step, m2)
-            np.subtract(self.left[:m2, a:b], (self.W @ A21[:, 2 * a:2 * b]).view(complex),
-                        out=S[:, a:b])
-        self.lu_schur = lu_factor(S, overwrite_a=True, check_finite=False)
+        W_T = lu_solve(self.lu22, self.right[:, :h].transpose(0, 2, 1), trans=1)
+        self.W = W_T.transpose(0, 2, 1)
+        # S = A11 - W A21, one column block at a time. Non-finite entries (a
+        # singular A22) flow on to the finiteness check in solve.
+        S = _stack(m, h, complex)
+        A11, A21 = self.left[:, :h], self.left[:, h:]
+        step = -(-h // KERNEL_ROW_BLOCKS)
+        for a in range(0, h, step):
+            b = min(a + step, h)
+            np.subtract(A11[..., a:b], _pairs(np.matmul, self.W, A21[..., a:b]), out=S[..., a:b])
+        self.lu_schur = _lu_each(S)
+
+    def _characters(self, a):
+        """(j n_nodes, M) rows as their characters (j, m, h, M): sum_g a_g e^{-2 pi i g c/m}."""
+        m = self.group
+        return np.fft.fft(a.reshape(-1, m, self.disc.n_nodes // m, a.shape[-1]), axis=1)
 
     def solve(self, rhs):
         """Densities (phi1, phi2) for a (2 n_nodes, M) array of right-hand sides, one per column.
@@ -362,41 +432,45 @@ class ScatteringSolver:
         Returns two (n_nodes, M) arrays; plane waves' columns come from incident_trace(disc, k, dirs).
         """
         m2 = self.disc.n_nodes
+        h = m2 // self.group
         rhs = np.ascontiguousarray(rhs, dtype=complex)
         if rhs.ndim != 2 or rhs.shape[0] != 2 * m2:
             raise ValueError(f"rhs must have shape ({2 * m2}, M), got {rhs.shape}")
-        b1, b2 = rhs[:m2], rhs[m2:]
-        sols = np.empty_like(rhs)
-        phi1, phi2 = sols[:m2], sols[m2:]
-        # complex right-hand sides meet the real W and A22 as interleaved (re, im) real columns
-        Wb2 = (self.W @ b2.view(float)).view(complex)
-        phi1[...] = lu_solve(self.lu_schur, b1 - Wb2, overwrite_b=True, check_finite=False)
-        r2 = b2 - self.left[m2:] @ phi1
-        phi2.view(float)[...] = lu_solve(self.lu22, r2.view(float), check_finite=False)
-        resid = self._backward_error(sols, rhs, r2)
+        B = self._characters(rhs)
+        b1, b2 = B
+        X = np.empty_like(B)
+        x1, x2 = X
+        y1 = b1 - _pairs(np.matmul, self.W, b2)
+        x1[...] = lu_solve(self.lu_schur, y1, overwrite_b=True, check_finite=False)
+        r2 = b2 - self.left[:, h:] @ x1
+        x2[...] = _pairs(lu_solve, self.lu22, r2, check_finite=False)
+        resid = self._backward_error(X, B, r2)
+        sols = np.fft.ifft(X, axis=1).reshape(2 * m2, -1)
         if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
             raise RuntimeError(
                 f"linear solve failed (relative residual {resid:.3e}); "
                 "the discretized system may be singular"
             )
-        return phi1, phi2
+        return sols[:m2], sols[m2:]
 
-    def _backward_error(self, sols, rhs, r2) -> float:
-        """Normwise backward error of a solve of the full block system.
+    def _backward_error(self, X, B, r2) -> float:
+        """Normwise backward error of a solve of the full block system, from its characters.
 
-        The real right half [A12; A22] meets the interleaved (re, im) columns
-        of phi2 in one real GEMM. The bottom block row of the residual is then
-        A22 phi2 - r2, with r2 = b2 - A21 phi1 from the solve, so only the top
-        row's A11 phi1 - b1 takes new complex work.
+        X and B are the characters of the densities and right-hand sides, r2
+        = b2 - A21 phi1 those of the solve. The group DFT scales the norm of
+        every vector by sqrt(m), so the ratio is the full system's. [A12; A22]
+        meets phi2 in one GEMM per character; the bottom block row of the
+        residual is then A22 phi2 - r2, so only the top row's A11 phi1 - b1
+        takes new complex work.
         """
-        m2 = self.disc.n_nodes
-        resid = (self.right @ sols[m2:].view(float)).view(complex)
-        top = resid[:m2]
-        top += self.left[:m2] @ sols[:m2]
-        top -= rhs[:m2]
-        resid[m2:] -= r2
+        h = self.disc.n_nodes // self.group
+        resid = _pairs(np.matmul, self.right, X[1])
+        top = resid[:, :h]
+        top += self.left[:, :h] @ X[0]
+        top -= B[0]
+        resid[:, h:] -= r2
         num = np.linalg.norm(resid)
-        den = self.system_norm * np.linalg.norm(sols) + np.linalg.norm(rhs)
+        den = self.system_norm * np.linalg.norm(X) + np.linalg.norm(B)
         return float(num / den)
 
     def far_field(self, phi1, xhat) -> np.ndarray:

@@ -5,6 +5,9 @@ evaluator, frame(t), returns x, x' and x'' in closed form. That is everything
 the quadrature needs: with n(t) = (x2'(t), -x1'(t)) the outward (unnormalized)
 normal, the unit normal is n/|x'| and the arclength Jacobian is |x'|. A radial
 shape is x(t) = r(t) (cos t, sin t), built from its polar(th) -> (r, r', r'').
+Its rotation_order m says x(t + 2pi/m) is x(t) rotated by 2pi/m: the star's
+petal count, 2 for the ellipse and peanut, 0 for the circle (every rotation)
+and 1 for the kite (none).
 
 Named shapes:
 
@@ -45,6 +48,7 @@ class ParametricCurve:
     params: tuple
     _frame: Callable = field(repr=False, compare=False, default=None)
     _polar: Callable = field(repr=False, compare=False, default=None)
+    rotation_order: int = field(repr=False, compare=False, default=1)
 
     def frame(self, t):
         return self._frame(np.asarray(t, dtype=float))
@@ -146,7 +150,9 @@ def make_curve(kind: str, params=None) -> ParametricCurve:
                     np.stack([dr * c - r * s, dr * s + r * c], axis=-1),
                     np.stack([(ddr - r) * c - 2.0 * dr * s, (ddr - r) * s + 2.0 * dr * c], axis=-1))
 
-    curve = ParametricCurve(kind=kind, params=params, _frame=frame, _polar=polar)
+    order = abs(round(params[2])) if kind == "star" else {"circle": 0, "kite": 1}.get(kind, 2)
+    curve = ParametricCurve(kind=kind, params=params, _frame=frame, _polar=polar,
+                            rotation_order=order)
     _validate(curve)
     return curve
 

@@ -135,6 +135,14 @@ def test_config_refuses_fractional_counts(fields):
         ExperimentConfig(**fields).validate()
 
 
+@pytest.mark.parametrize("fields, name", [({"quad_nodes": 128.0}, "quad_nodes"),
+                                          ({"seed": 1.5}, "seed"), ({"seed": 2.0}, "seed")])
+def test_config_refuses_fractional_nodes_and_seeds(fields, name):
+    # these passed validate() and raised TypeError later, in the solver or in SeedSequence
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        ExperimentConfig(**fields).validate()
+
+
 def test_config_validation_errors(parse_text):
     with pytest.raises(Exception):
         parse_text("[experiment]\nk = 0\n")

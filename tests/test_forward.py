@@ -106,6 +106,16 @@ def test_maue_product_matches_dense_differentiation(m):
     assert np.linalg.norm(_maue_product(X) - dense) / np.linalg.norm(dense) < 1e-12
 
 
+@pytest.mark.parametrize("m, group", [(16, 4), (18, 3), (128, 2), (64, 64)])
+def test_maue_product_takes_the_first_rows_of_a_block_circulant_matrix(m, group):
+    # X holds the first m/group rows; the rest are X shifted: A[i + h, j + h] = A[i, j]
+    h = m // group
+    rng = np.random.default_rng(m)
+    X = rng.standard_normal((h, m)) + 1j * rng.standard_normal((h, m))
+    full = _maue_product(np.vstack([np.roll(X, p * h, axis=1) for p in range(group)]))[:h]
+    assert np.linalg.norm(_maue_product(X, group) - full) / np.linalg.norm(full) < 1e-12
+
+
 @pytest.mark.parametrize("kind, m2", [("star", 130), ("kite", 64)])
 def test_row_blocks_leave_the_system_bit_identical(kind, m2, monkeypatch):
     # one block runs every formula on full arrays; one row per block mirrors
@@ -156,31 +166,35 @@ def test_assembly_peak_memory_is_a_small_multiple_of_the_system():
 
 
 def test_solver_holds_each_block_once():
-    # [A11; A21] complex, [A12; A22] real, S complex, A22's LU and W real:
-    # 32 + 16 + 16 + 8 + 8 = 80 bytes per m2^2
+    # the kite (one character): [A11; A21] complex, [A12; A22] real, S complex,
+    # A22's LU and W real: 32 + 16 + 16 + 8 + 8 = 80 bytes per m2^2; the star's
+    # four characters hold a quarter of its first rows' blocks and a sixteenth of the rest
     m2 = 512
-    tracemalloc.start()
-    try:
-        solver = ScatteringSolver(make_curve("star"), K, m2)
-        current = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert not hasattr(solver, "system")
-    assert current <= 84 * m2**2
+    for kind in ("star", "kite"):
+        tracemalloc.start()
+        try:
+            solver = ScatteringSolver(make_curve(kind), K, m2)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(solver, "system")
+        assert current <= 84 * m2**2
 
 
 def test_solver_init_holds_no_full_size_temporary():
     # S = A11 - W A21 is built in its own buffer one column block at a time,
-    # with no copy of A11 and no whole W A21 product
+    # with no copy of A11 and no whole W A21 product; S holds one
+    # (m2/m) x (m2/m) matrix per character
     m2 = 256
-    tracemalloc.start()
-    try:
-        solver = ScatteringSolver(make_curve("star"), K, m2)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert solver.lu_schur[0].nbytes == 16 * m2**2
-    assert peak - current <= 0.5 * 16 * m2**2
+    for kind in ("star", "kite"):
+        tracemalloc.start()
+        try:
+            solver = ScatteringSolver(make_curve(kind), K, m2)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solver.lu_schur[0].nbytes == 16 * m2**2 // solver.group
+        assert peak - current <= 0.5 * 16 * m2**2
 
 
 @pytest.mark.parametrize("make", [
@@ -216,6 +230,12 @@ def test_odd_node_count_rejected():
         discretize(make_curve("circle"), 127)
     with pytest.raises(ValueError):
         discretize(make_curve("circle"), 8)
+
+
+@pytest.mark.parametrize("n_nodes", [128.0, "128", None])
+def test_fractional_node_count_rejected(n_nodes):
+    with pytest.raises(ValueError, match="n_nodes must be an even integer"):
+        discretize(make_curve("circle"), n_nodes)
 
 
 def test_coincident_nodes_rejected():
@@ -560,12 +580,25 @@ def test_other_shapes_satisfy_identity():
         assert check_operator_identity(ff).value < 1e-8
 
 
+def _dense_system(solver):
+    """The dense 4n x 4n system a solver factors, from assemble_system with its group m.
+
+    Block row p of each block is the first rows shifted by p n/m; for m = 1
+    it is np.hstack(assemble_system(disc, K)).
+    """
+    m, m2 = solver.group, solver.disc.n_nodes
+    h = m2 // m
+    left, right = assemble_system(solver.disc, K, m)
+    return np.vstack([np.hstack([np.roll(half[rows], p * h, axis=1) for half in (left, right)])
+                      for rows in (slice(0, h), slice(h, 2 * h)) for p in range(m)])
+
+
 @pytest.mark.parametrize("m2", [128, 256])
 @pytest.mark.parametrize("kind", ["star", "peanut", "kite", "circle"])
 def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
-    # the Schur-complement solve against a dense solve of the assembled system
+    # the Schur-complement solve of each character against a dense solve of the system
     solver = ScatteringSolver(make_curve(kind), K, m2)
-    system = np.hstack((solver.left, solver.right))
+    system = _dense_system(solver)
     # the norm is taken over the two halves, so it matches the dense one to rounding
     assert solver.system_norm == pytest.approx(np.linalg.norm(system), rel=1e-12)
     dirs = uniform_directions(64)
@@ -580,21 +613,23 @@ def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
     assert np.abs(F - F_ref).max() / np.abs(F_ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["star", "circle"])
+@pytest.mark.parametrize("kind", ["star", "circle", "kite"])
 def test_backward_error_matches_dense_residual(kind):
-    # a perturbed solution puts the residual far above rounding; the blockwise
-    # check, which reuses r2 = b2 - A21 phi1, against the dense residual
+    # a perturbed solution puts the residual far above rounding; the check over
+    # the characters, which reuses r2 = b2 - A21 phi1, against the dense residual
     solver = ScatteringSolver(make_curve(kind), K, 128)
     m2 = solver.disc.n_nodes
     rhs = incident_trace(solver.disc, K, uniform_directions(8))
     rng = np.random.default_rng(2)
-    system = np.hstack((solver.left, solver.right))
+    system = _dense_system(solver)
     sols = np.linalg.solve(system, rhs)
     sols += 1e-6 * (rng.standard_normal(sols.shape) + 1j * rng.standard_normal(sols.shape))
     r2 = rhs[m2:] - system[m2:, :m2] @ sols[:m2]
     dense = np.linalg.norm(system @ sols - rhs) / (
         solver.system_norm * np.linalg.norm(sols) + np.linalg.norm(rhs))
-    assert solver._backward_error(sols, rhs, r2) == pytest.approx(dense, rel=1e-8)
+    chars = solver._characters
+    got = solver._backward_error(chars(sols), chars(rhs), chars(r2)[0])
+    assert got == pytest.approx(dense, rel=1e-8)
 
 
 def test_solver_factors_twice_and_solves_through_lu_solve(monkeypatch):
@@ -613,12 +648,15 @@ def test_solver_factors_twice_and_solves_through_lu_solve(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(forward, name, counting(name))
-    solver = ScatteringSolver(make_curve("star"), K, 64)
-    assert calls == {"lu_factor": 2, "lu_solve": 1}         # A22 and S; W
-    solver.solve(incident_trace(solver.disc, K, uniform_directions(8)))
-    assert calls == {"lu_factor": 2, "lu_solve": 3}
-    solver.far_field_matrix(16)
-    assert calls == {"lu_factor": 2, "lu_solve": 5}
+    for kind in ("star", "kite"):                           # four characters, one
+        calls.update(lu_factor=0, lu_solve=0)
+        solver = ScatteringSolver(make_curve(kind), K, 64)
+        m = solver.group
+        assert calls == {"lu_factor": 2 * m, "lu_solve": 1}     # A22 and S of each character; W
+        solver.solve(incident_trace(solver.disc, K, uniform_directions(8)))
+        assert calls == {"lu_factor": 2 * m, "lu_solve": 3}
+        solver.far_field_matrix(16)
+        assert calls == {"lu_factor": 2 * m, "lu_solve": 5}
 
 
 @pytest.mark.parametrize("edit", ["zero row", "repeated row"])
@@ -627,10 +665,10 @@ def test_singular_modified_helmholtz_block_raises(edit, monkeypatch):
     # row): the solve must refuse, never return NaN or an inaccurate answer
     import plate_echo.forward as forward
 
-    def singular(disc, k):
-        left, right = assemble_system(disc, k)
-        m2 = disc.n_nodes
-        right[m2 + 5] = 0.0 if edit == "zero row" else right[m2 + 6]
+    def singular(disc, k, group=1):
+        left, right = assemble_system(disc, k, group)
+        h = right.shape[0] // 2                          # the first rows of A22 start at row h
+        right[h + 5] = 0.0 if edit == "zero row" else right[h + 6]
         return left, right
 
     monkeypatch.setattr(forward, "assemble_system", singular)
@@ -763,7 +801,7 @@ def test_window_is_off_at_the_presets_and_on_for_the_high_k_disk(monkeypatch):
     for kind in ("star", "peanut"):                  # both presets: k = 4, 128 nodes
         ScatteringSolver(make_curve(kind), K, 128)
     assert calls == []
-    ScatteringSolver(make_curve("circle"), 16.0, 256)
+    assemble_system(discretize(make_curve("circle"), 256), 16.0)
     # one call per row block, on its upper trapezoid: the mirrored blocks reuse the values
     assert len(calls) == forward.KERNEL_ROW_BLOCKS
     assert 256 * 257 / 2 <= sum(calls) < 0.6 * 256 * 256
@@ -788,6 +826,50 @@ def test_row_blocks_leave_the_windowed_system_bit_identical(monkeypatch):
         monkeypatch.setattr(forward, "KERNEL_ROW_BLOCKS", blocks)
         systems.append([half.tobytes() for half in assemble_system(disc, 16.0)])
     assert systems[0] == systems[1] == systems[2]
+
+
+# --- the symmetry-adapted solve: m = gcd(rotation order, n_nodes) characters
+def _star(petals):
+    return make_curve("star", (1.5, 0.3, petals))
+
+
+@pytest.mark.parametrize("curve, m2, m", [
+    (_star(5), 128, 1), (_star(4), 130, 2), (_star(4), 128, 4), (_star(5), 130, 5),
+    (make_curve("kite"), 128, 1), (make_curve("peanut"), 130, 2), (make_curve("ellipse"), 64, 2),
+    (make_curve("circle"), 128, 128), (make_curve("circle"), 130, 130),
+], ids=["star5-128", "star4-130", "star4-128", "star5-130", "kite", "peanut", "ellipse",
+        "circle-128", "circle-130"])
+def test_group_is_the_rotation_order_that_divides_the_node_count(curve, m2, m):
+    assert ScatteringSolver(curve, K, m2).group == m
+
+
+@pytest.mark.parametrize("curve, k, m2", [
+    (_star(4), K, 128), (_star(4), K, 256), (_star(4), 16.0, 512), (_star(5), K, 130),
+    (make_curve("peanut"), K, 128), (make_curve("ellipse"), K, 128), (make_curve("circle"), K, 128),
+    (make_curve("circle"), 16.0, 256),
+], ids=["star", "star-256", "star-windowed", "star5-130", "peanut", "ellipse", "circle",
+        "circle-windowed"])
+def test_symmetric_solve_matches_a_dense_solve_of_the_full_system(curve, k, m2):
+    # the characters' far field against np.linalg.solve of every row assemble_system builds,
+    # at a random node offset; the window depends on |t_i - t_j| only, so it keeps the symmetry
+    offset = float(np.random.default_rng(m2).uniform(0.0, 2.0 * np.pi))
+    solver = ScatteringSolver(curve, k, m2, node_offset=offset)
+    assert solver.group > 1
+    dirs = uniform_directions(64)
+    system = np.hstack(assemble_system(solver.disc, k))
+    ref = np.linalg.solve(system, incident_trace(solver.disc, k, dirs))
+    F = solver.far_field_matrix(64).entries
+    assert _rel_max(F, solver.far_field(ref[:m2], dirs)) <= 5e-11
+
+
+def test_symmetric_solver_evaluates_a_fraction_of_the_kernels(monkeypatch):
+    # the first quarter of the rows of the 4-petal star: the upper trapezoid of
+    # those rows and its mirror within them, about 0.22 of the pairs (0.5 unreduced)
+    m2 = 128
+    counter = _CountingSpecial()
+    monkeypatch.setattr(specfun, "sp", counter)
+    assert ScatteringSolver(make_curve("star"), K, m2).group == 4
+    assert counter.values <= 0.3 * 8 * m2 * m2
 
 
 # --- an exact far field for every shape: radiating sources inside the cavity
