@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import operator
 import os
 import sys
 import tempfile
@@ -34,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .farfield import load_farfield, save_farfield, uniform_angles
+from .farfield import is_index, load_farfield, save_farfield, uniform_angles
 from .geometry import make_curve
 from .imaging import (
     ApertureMask,
@@ -61,15 +60,6 @@ DECAY_RADII = tuple(np.geomspace(10.0, 100.0, 12))
 
 class ConfigError(ValueError):
     pass
-
-
-def _is_index(value) -> bool:
-    """The integer rule uniform_angles applies to n_dirs: operator.index takes 128, not 128.0."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ class ExperimentConfig:
             uniform_angles(self.n_dirs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not _is_index(self.quad_nodes) or self.quad_nodes < 16 or self.quad_nodes % 2:
+        if not is_index(self.quad_nodes) or self.quad_nodes < 16 or self.quad_nodes % 2:
             raise ConfigError("quad_nodes must be an even integer >= 16")
         if self.which not in ("ip", "norm"):
             raise ConfigError("which must be 'ip' or 'norm'")
@@ -113,9 +103,9 @@ class ExperimentConfig:
             raise ConfigError("extent needs four values: x_min, x_max, y_min, y_max")
         if not (self.extent[0] < self.extent[1] and self.extent[2] < self.extent[3]):
             raise ConfigError("extent needs x_min < x_max and y_min < y_max")
-        if len(self.resolution) != 2 or not all(_is_index(v) and v >= 2 for v in self.resolution):
+        if len(self.resolution) != 2 or not all(is_index(v) and v >= 2 for v in self.resolution):
             raise ConfigError("grid resolution must be two integers >= 2")
-        if not _is_index(self.seed) or self.seed < 0:
+        if not is_index(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         for idx in (*self.mask_rows, *self.mask_cols):
             if not 1 <= idx <= self.n_dirs:

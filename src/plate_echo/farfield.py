@@ -17,8 +17,8 @@ import numpy as np
 # Entry lines per parsing block of load_farfield: about 2^16 lines, a 2 MB
 # table of four columns, whatever N is.
 LOAD_BLOCK_LINES = 1 << 16
-# Entry lines per formatting block of save_farfield: its text columns and digit
-# arrays stay a few MB whatever N is.
+# Lines per formatting block of save_farfield and imaging.save_grid_csv: their
+# text columns and digit arrays stay a few MB whatever the size.
 SAVE_BLOCK_LINES = 1 << 12
 
 
@@ -44,14 +44,20 @@ class FarFieldMatrix:
         return P @ self.entries.T
 
 
+def is_index(value) -> bool:
+    """The integer rule of counts and seeds: operator.index takes 128, not 128.0."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def uniform_angles(n_dirs: int) -> np.ndarray:
     """theta_i = 2 pi i / n_dirs for i = 0..n_dirs-1; n_dirs must be an integer >= 4."""
-    try:
-        n = operator.index(n_dirs)
-    except TypeError:
-        n = 0
-    if n < 4:
+    if not is_index(n_dirs) or n_dirs < 4:
         raise ValueError(f"n_dirs must be >= 4 and an integer, not {n_dirs!r}")
+    n = operator.index(n_dirs)
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -82,16 +88,22 @@ def save_farfield(ff: FarFieldMatrix, path) -> None:
         raise ValueError(f"far-field shape name {ff.shape_kind!r} must not contain whitespace")
     n = entries.shape[0]
     values = np.ascontiguousarray(entries, dtype=complex).view(float).reshape(n * n, 2)
-    # 'i ' for i = 1..N in fixed columns, NUL-padded on the left, gathered per block
-    width = len(str(n))
-    index = "".join(str(i).rjust(width, "\0") + " " for i in range(1, n + 1)).encode()
-    index = np.frombuffer(index, np.uint8).reshape(n, width + 1)
+    index = _text_cells([b"%d " % i for i in range(1, n + 1)])
     with open(path, "wb") as fh:
         fh.write(f"# biharmonic-farfield v1 N={n} k={ff.k:.17g} shape={ff.shape_kind}\n".encode("utf-8"))
         for a in range(0, n * n, SAVE_BLOCK_LINES):
             i, j = np.divmod(np.arange(a, min(a + SAVE_BLOCK_LINES, n * n)), n)
             head = np.hstack([np.take(index, i, axis=0), np.take(index, j, axis=0)])
             fh.write(_g17_lines(values[a:a + SAVE_BLOCK_LINES], head))
+
+
+def _text_cells(texts) -> np.ndarray:
+    """The byte strings texts as the rows of an (n, w) uint8 array, NUL-padded on the left.
+
+    Fixed text columns for the head of _g17_lines, which drops the NULs.
+    """
+    width = max(map(len, texts), default=0)
+    return np.frombuffer(b"".join(t.rjust(width, b"\0") for t in texts), np.uint8).reshape(len(texts), width)
 
 
 # _g17_lines builds each value's '%.17g' text in fixed columns, zeroes the

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .farfield import FarFieldMatrix
+from .farfield import SAVE_BLOCK_LINES, FarFieldMatrix, _g17_lines, _text_cells, is_index
 
 # Test-vector entries (points x N) per block of indicator_values' points: the
 # test-vector and F phi_z blocks are then 1 MB each at any N, so a block stays
@@ -36,6 +36,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("noise level delta must lie in [0, 1)")
+        if not is_index(self.seed) or self.seed < 0:
+            raise ValueError(f"noise seed must be a nonnegative integer, not {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -217,13 +219,24 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
 
 
 def save_grid_csv(grid: ImagingGrid, path) -> None:
-    """CSV export: header 'x,y,value', rows in row-major (y outer, x inner)."""
-    xs = [f"{x:.17g}" for x in grid.xs.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,value\n")
-        for y, values in zip(grid.ys.tolist(), grid.values.tolist()):
-            sep = f",{y:.17g},%.17g\n"
-            fh.write((sep.join(xs) + sep) % tuple(values))
+    """CSV export: header 'x,y,value', rows in row-major (y outer, x inner).
+
+    Each number is Python's '%.17g'. The x and y cells are formatted once per
+    axis; the values go through _g17_lines SAVE_BLOCK_LINES lines at a time.
+    values must have shape (len(ys), len(xs)) with 1-D axes, or ValueError is
+    raised before the file is opened.
+    """
+    xs, ys, values = (np.asarray(a, dtype=float) for a in (grid.xs, grid.ys, grid.values))
+    if xs.ndim != 1 or ys.ndim != 1 or values.shape != (len(ys), len(xs)):
+        raise ValueError(f"grid values of shape {values.shape} do not match axes of shapes {xs.shape}, {ys.shape}")
+    x_cells, y_cells = (_text_cells([b"%.17g," % v for v in axis.tolist()]) for axis in (xs, ys))
+    values = values.reshape(-1, 1)
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,value\n")
+        for a in range(0, len(values), SAVE_BLOCK_LINES):
+            iy, ix = np.divmod(np.arange(a, min(a + SAVE_BLOCK_LINES, len(values))), len(xs))
+            head = np.hstack([np.take(x_cells, ix, axis=0), np.take(y_cells, iy, axis=0)])
+            fh.write(_g17_lines(values[a:a + SAVE_BLOCK_LINES], head))
 
 
 def save_grid_pgm(grid: ImagingGrid, path) -> None:

@@ -25,7 +25,7 @@ from plate_echo.cli import (
     main,
     parse_config,
 )
-from plate_echo.forward import load_farfield
+from plate_echo.farfield import FarFieldMatrix, load_farfield, save_farfield
 from plate_echo.geometry import make_curve
 
 
@@ -165,7 +165,6 @@ def test_config_validation_errors(parse_text):
 
 
 def test_unknown_config_key_writes_nothing(tmp_path, capsys, ff_star):
-    from plate_echo.forward import save_farfield
 
     star = tmp_path / "star.txt"
     save_farfield(ff_star, star)
@@ -179,7 +178,6 @@ def test_unknown_config_key_writes_nothing(tmp_path, capsys, ff_star):
 
 def test_mask_range_is_checked_before_it_is_expanded(tmp_path, capsys, ff_star, parse_text):
     # every index of a range used to be built before validate compared them with n_dirs
-    from plate_echo.forward import save_farfield
 
     star = tmp_path / "star.txt"
     save_farfield(ff_star, star)
@@ -205,7 +203,6 @@ def test_mask_range_is_checked_before_it_is_expanded(tmp_path, capsys, ff_star, 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys, ff_star):
     # --out below a regular file: the output directory cannot be made
-    from plate_echo.forward import save_farfield
 
     star = tmp_path / "star.txt"
     save_farfield(ff_star, star)
@@ -228,7 +225,6 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, ff_star):
 
 def test_image_writes_all_or_none(tmp_path, capsys, ff_star):
     # the PGM's rename fails after the CSV's has gone through: the CSV must go too
-    from plate_echo.forward import save_farfield
 
     star = tmp_path / "star.txt"
     save_farfield(ff_star, star)
@@ -243,7 +239,6 @@ def test_image_writes_all_or_none(tmp_path, capsys, ff_star):
 
 
 def test_image_pgm_is_a_valid_raster(tmp_path, capsys, ff_star):
-    from plate_echo.forward import save_farfield
 
     spec = importlib.util.spec_from_file_location(
         "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py")
@@ -264,7 +259,6 @@ def test_image_pgm_is_a_valid_raster(tmp_path, capsys, ff_star):
 
 def test_output_modes_follow_the_umask(tmp_path, ff_star):
     # each file gets 0o666 & ~umask, as open() would give, not mkstemp's 0o600
-    from plate_echo.forward import save_farfield
 
     star = tmp_path / "star.txt"
     save_farfield(ff_star, star)
@@ -316,7 +310,6 @@ def test_clockwise_or_open_shape_is_config_error(tmp_path, capsys):
 
 
 def test_image_refuses_reversed_ranges(tmp_path, ff_star):
-    from plate_echo.forward import save_farfield
 
     star = tmp_path / "star.txt"
     save_farfield(ff_star, star)
@@ -539,8 +532,6 @@ def test_k_zero_is_config_error(tmp_path):
 
 
 def test_degenerate_grid_maps_to_exit_4(tmp_path, ff_star):
-    from plate_echo.forward import FarFieldMatrix, save_farfield
-
     zero = FarFieldMatrix(k=4.0, entries=np.zeros((64, 64), complex), shape_kind="star")
     path = tmp_path / "zeros.txt"
     save_farfield(zero, path)
@@ -626,7 +617,6 @@ def test_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch, ff_star):
 
 
 def test_seed_must_be_nonnegative(tmp_path, capsys, ff_star):
-    from plate_echo.forward import save_farfield
 
     star = tmp_path / "star.txt"
     save_farfield(ff_star, star)

@@ -1,6 +1,7 @@
 """Indicators, noise, masking, grids."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ class TestNoise:
             NoiseModel(1.0)
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(0.1, seed)
+
+    def test_large_seed_draws_as_before(self, ff_star):
+        n = ff_star.n_dirs
+        draws = np.random.default_rng(2**40).uniform(-1.0, 1.0, size=(n, n, 2))
+        expected = ff_star.entries * (1.0 + 0.3 * (draws[..., 0] + 1j * draws[..., 1]))
+        assert np.array_equal(add_noise(ff_star, NoiseModel(0.3, 2**40)).entries, expected)
 
 
 class TestMask:
@@ -351,6 +363,13 @@ class TestGrid:
         assert np.max(np.abs(moved - orig) / orig) < 1e-6
 
 
+def _reference_csv(grid):
+    """The grid CSV as a per-float Python writer makes it."""
+    lines = ["x,y,value"] + [f"{x:.17g},{y:.17g},{grid.values[iy, ix]:.17g}"
+                             for iy, y in enumerate(grid.ys) for ix, x in enumerate(grid.xs)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 class TestGridFiles:
     def test_csv_round_trip(self, tmp_path, ff_star):
         grid = evaluate_grid(ff_star, (-1.0, 1.0, -1.0, 1.0), (5, 4), 2.0, "norm")
@@ -377,9 +396,44 @@ class TestGridFiles:
         grid = ImagingGrid(xs=xs, ys=ys, values=values)
         path = tmp_path / "grid.csv"
         save_grid_csv(grid, path)
-        expected = ["x,y,value"] + [f"{x:.17g},{y:.17g},{values[iy, ix]:.17g}"
-                                    for iy, y in enumerate(ys) for ix, x in enumerate(xs)]
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+        assert path.read_bytes() == _reference_csv(grid)
+
+    @pytest.mark.parametrize("shape", ["evaluated-300x300", "wider-than-a-block", "mixed-widths"])
+    def test_csv_bytes_match_the_per_float_writer(self, tmp_path, ff_star, shape):
+        rng = np.random.default_rng(3)
+        if shape == "evaluated-300x300":
+            grid = evaluate_grid(ff_star, EXTENT, (300, 300), 4.0, "ip")
+        elif shape == "wider-than-a-block":     # nx = SAVE_BLOCK_LINES + 1
+            grid = ImagingGrid(np.linspace(-4.0, 4.0, 4097), np.array([-0.5, 2.0]), rng.random((2, 4097)))
+        else:                                   # 21 lines, axis cells of 2 to 25 bytes
+            values = rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-30, 30, (3, 7))
+            grid = ImagingGrid(np.array([0.0, -1.0, 0.1, 1e-7, -2.5e300, 7.0, 1 / 3]),
+                               np.array([-0.0, 1e22, 0.3]), values)
+        path = tmp_path / "grid.csv"
+        save_grid_csv(grid, path)
+        assert path.read_bytes() == _reference_csv(grid)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 4), (3, 5), "2-d axis"], ids=str)
+    def test_csv_refuses_a_bad_grid_shape(self, tmp_path, shape):
+        xs, ys = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3)
+        if shape == "2-d axis":
+            xs, shape = xs[:, None], (3, 4)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match="shape"):
+            save_grid_csv(ImagingGrid(xs=xs, ys=ys, values=np.ones(shape)), path)
+        assert not path.exists()
+
+    def test_csv_peak_memory_stays_small(self, tmp_path):
+        n = 600
+        axis = np.linspace(-4.0, 4.0, n)
+        grid = ImagingGrid(axis, axis, np.random.default_rng(5).random((n, n)))
+        tracemalloc.start()
+        try:
+            save_grid_csv(grid, tmp_path / "grid.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6                      # a per-line Python writer peaks at 11.7 MB here
 
     def test_pgm_format(self, tmp_path, ff_star):
         grid = evaluate_grid(ff_star, EXTENT, (30, 20), 4.0, "ip")
