@@ -38,6 +38,8 @@ from .geometry import make_curve
 from .imaging import (
     ApertureMask,
     NoiseModel,
+    _check_indicator,
+    _grid_axes,
     add_noise,
     apply_mask,
     evaluate_grid,
@@ -83,36 +85,20 @@ class ExperimentConfig:
     write_pgm: bool = False
 
     def validate(self) -> "ExperimentConfig":
-        if not np.all(np.isfinite((self.k, self.rho, *self.extent))):
-            raise ConfigError("k, rho and extent must be finite")
-        if self.k <= 0:
-            raise ConfigError("k must be positive")
-        try:
-            uniform_angles(self.n_dirs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """Raise ConfigError for a value that the call consuming it would refuse, in that call's words."""
+        # k and quad_nodes keep their own checks: their owners are in the solver, which imports scipy
+        if not 0 < self.k < np.inf:
+            raise ConfigError("k must be positive and finite")
         if not is_index(self.quad_nodes) or self.quad_nodes < 16 or self.quad_nodes % 2:
             raise ConfigError("quad_nodes must be an even integer >= 16")
-        if self.which not in ("ip", "norm"):
-            raise ConfigError("which must be 'ip' or 'norm'")
-        if self.rho <= 0:
-            raise ConfigError("rho must be positive")
-        if not 0.0 <= self.delta < 1.0:
-            raise ConfigError("delta must lie in [0, 1)")
-        if len(self.extent) != 4:
-            raise ConfigError("extent needs four values: x_min, x_max, y_min, y_max")
-        if not (self.extent[0] < self.extent[1] and self.extent[2] < self.extent[3]):
-            raise ConfigError("extent needs x_min < x_max and y_min < y_max")
-        if len(self.resolution) != 2 or not all(is_index(v) and v >= 2 for v in self.resolution):
-            raise ConfigError("grid resolution must be two integers >= 2")
-        if not is_index(self.seed) or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        for idx in (*self.mask_rows, *self.mask_cols):
-            if not 1 <= idx <= self.n_dirs:
-                raise ConfigError(f"mask index {idx} outside 1..{self.n_dirs}")
         try:
+            uniform_angles(self.n_dirs)
+            _check_indicator(self.rho, self.which)
+            _grid_axes(self.extent, self.resolution)
+            NoiseModel(self.delta, self.seed)
+            self.mask().check(self.n_dirs)
             curve = self.curve()
-        except ValueError as exc:
+        except (ValueError, IndexError) as exc:
             raise ConfigError(str(exc)) from exc
         # pin the effective shape parameters: the commands read them (the circle's radius)
         return replace(self, shape_params=curve.params)

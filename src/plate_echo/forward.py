@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 # the file functions are re-exported, so the solver module serves the whole far-field workflow
-from .farfield import FarFieldMatrix, load_farfield, save_farfield, uniform_directions  # noqa: F401
+from .farfield import FarFieldMatrix, is_index, load_farfield, save_farfield, uniform_directions  # noqa: F401
 from .geometry import ParametricCurve
 from .specfun import EULER_GAMMA, bessel_i, bessel_j, bessel_k, bessel_y, erfc
 
@@ -78,12 +78,9 @@ class BoundaryDiscretization:
 
 def discretize(curve: ParametricCurve, n_nodes: int, offset: float = 0.0) -> BoundaryDiscretization:
     """Sample the curve at 2n equispaced nodes (optionally phase-shifted)."""
-    try:
-        n_nodes = operator.index(n_nodes)
-    except TypeError:
-        raise ValueError(f"n_nodes must be an even integer >= 16, not {n_nodes!r}") from None
-    if n_nodes < 16 or n_nodes % 2:
-        raise ValueError("n_nodes must be an even integer >= 16")
+    if not is_index(n_nodes) or n_nodes < 16 or n_nodes % 2:
+        raise ValueError(f"n_nodes must be an even integer >= 16, not {n_nodes!r}")
+    n_nodes = operator.index(n_nodes)
     if not np.isfinite(offset):
         raise ValueError(f"the node offset must be finite, got {offset!r}")
     t = offset + np.pi * np.arange(n_nodes) / (n_nodes // 2)
@@ -142,7 +139,7 @@ def _maue_product(X, group=1):
     kappa = np.fft.fftfreq(n, 1.0 / n)
     kappa[n // 2] = 0.0
     r = -np.arange(group) % group                     # r of the columns q = u group + c, by c
-    # fft2 and ifft2 axis by axis, last axis first as they do, in one buffer
+    # fft2's axes in its order (last first), then the inverses in reverse, in one buffer
     Y = X.copy()
     Y3 = Y.reshape(h, h, group)                       # [s or l, u, c]: column q = u group + c
     np.fft.fft(Y, axis=1, out=Y)
@@ -152,13 +149,10 @@ def _maue_product(X, group=1):
     np.fft.fft(Y, axis=0, out=Y)
     kappa3 = kappa.reshape(h, group)
     Y3 *= kappa3[:, None, r] * kappa3                 # kappa_p kappa_q at p = r + l group
+    np.fft.ifft(Y, axis=0, out=Y)
     if group > 1:
-        np.fft.ifft(Y, axis=0, out=Y)
         Y3 *= twiddle.conj()
-        np.fft.ifft(Y, axis=1, out=Y)
-    else:
-        np.fft.ifft(Y, axis=1, out=Y)
-        np.fft.ifft(Y, axis=0, out=Y)
+    np.fft.ifft(Y, axis=1, out=Y)
     return Y
 
 

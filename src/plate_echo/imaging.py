@@ -50,6 +50,12 @@ class ApertureMask:
     def is_empty(self) -> bool:
         return not self.receiver_rows and not self.source_cols
 
+    def check(self, n_dirs: int) -> None:
+        """Raise IndexError unless every index is an integer in 1..n_dirs."""
+        for idx in (*self.receiver_rows, *self.source_cols):
+            if not (is_index(idx) and 1 <= idx <= n_dirs):
+                raise IndexError(f"mask index {idx!r} must be an integer in 1..{n_dirs}")
+
 
 def add_noise(ff: FarFieldMatrix, model: NoiseModel) -> FarFieldMatrix:
     """Entrywise F(i,j) (1 + delta R(i,j)), R = U + iV with U, V ~ Unif[-1,1].
@@ -68,10 +74,7 @@ def add_noise(ff: FarFieldMatrix, model: NoiseModel) -> FarFieldMatrix:
 
 def apply_mask(ff: FarFieldMatrix, mask: ApertureMask) -> FarFieldMatrix:
     """Zero the masked rows/columns; everything else is untouched."""
-    n = ff.n_dirs
-    for idx in (*mask.receiver_rows, *mask.source_cols):
-        if not 1 <= idx <= n:
-            raise IndexError(f"mask index {idx} outside 1..{n}")
+    mask.check(ff.n_dirs)
     entries = ff.entries.copy()
     if mask.receiver_rows:
         entries[np.asarray(mask.receiver_rows) - 1, :] = 0.0
@@ -170,6 +173,17 @@ class ImagingGrid:
         return np.array([self.xs[ix], self.ys[iy]])
 
 
+def _grid_axes(extent, resolution):
+    """Axes (xs, ys) at counts (nx, ny) >= 2 on a finite extent (x_min, x_max, y_min, y_max), min < max."""
+    if len(resolution) != 2 or not all(is_index(v) and v >= 2 for v in resolution):
+        raise ValueError(f"grid resolution must be two integers >= 2, not {tuple(resolution)}")
+    bounds = [float(v) for v in extent]
+    if not (len(bounds) == 4 and np.all(np.isfinite(bounds)) and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+        raise ValueError(f"grid extent must be four finite values with x_min < x_max and y_min < y_max, "
+                         f"not {tuple(bounds)}")
+    return np.linspace(*bounds[:2], resolution[0]), np.linspace(*bounds[2:], resolution[1])
+
+
 def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str) -> ImagingGrid:
     """Evaluate the chosen indicator on the grid, then max-normalize.
 
@@ -185,14 +199,8 @@ def evaluate_grid(ff: FarFieldMatrix, extent, resolution, rho: float, which: str
     |u^H G u| with G = Q^T diag(conj e) B (nc x nc).
     """
     _check_indicator(rho, which)
-    if len(resolution) != 2 or not all(isinstance(v, (int, np.integer)) and v >= 2 for v in resolution):
-        raise ValueError(f"grid resolution must be two integers >= 2, not {tuple(resolution)}")
-    nx, ny = (int(v) for v in resolution)
-    x_min, x_max, y_min, y_max = bounds = [float(v) for v in extent]
-    if not (np.all(np.isfinite(bounds)) and x_min < x_max and y_min < y_max):
-        raise ValueError(f"grid extent must be finite and increasing, not {tuple(bounds)}")
-    xs = np.linspace(x_min, x_max, nx)
-    ys = np.linspace(y_min, y_max, ny)
+    xs, ys = _grid_axes(extent, resolution)
+    nx, ny = len(xs), len(ys)
     n, nc = ff.n_dirs, ff.n_dirs // 2 + 1
     directions = ff.directions
     U = phi_z(ff.k, directions[:nc], np.stack([xs, np.zeros(nx)], axis=-1))   # (nx, nc)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from plate_echo.cli import (
 )
 from plate_echo.farfield import FarFieldMatrix, load_farfield, save_farfield
 from plate_echo.geometry import make_curve
+from plate_echo.imaging import ApertureMask, NoiseModel, add_noise, apply_mask, evaluate_grid
 
 
 @pytest.fixture
@@ -141,6 +143,30 @@ def test_config_refuses_fractional_nodes_and_seeds(fields, name):
     # these passed validate() and raised TypeError later, in the solver or in SeedSequence
     with pytest.raises(ConfigError, match=f"{name} must be"):
         ExperimentConfig(**fields).validate()
+
+
+@pytest.mark.parametrize("fields", [{"rho": 0.0}, {"which": "both"}, {"delta": 1.0}, {"seed": -1},
+                                    {"extent": (4.0, -4.0, -4.0, 4.0)}, {"resolution": (1, 10)},
+                                    {"mask_rows": (99,)}])
+def test_config_refuses_in_the_library_words(fields, ff_star):
+    # validate applies the checks of the calls that image makes, so each refusal reads the same
+    cfg = ExperimentConfig(**fields)
+    with pytest.raises((ValueError, IndexError)) as library:
+        ff = apply_mask(add_noise(ff_star, NoiseModel(cfg.delta, cfg.seed)), cfg.mask())
+        evaluate_grid(ff, cfg.extent, cfg.resolution, cfg.rho, cfg.which)
+    with pytest.raises(ConfigError) as config:
+        cfg.validate()
+    assert str(config.value) == str(library.value)
+
+
+@pytest.mark.parametrize("index", [1.5, np.float64(2.0)])
+def test_mask_refuses_fractional_indices(index, ff_star):
+    # 1.5 passed validate(), and apply_mask then failed inside numpy's indexing
+    message = f"mask index {index!r} must be an integer"
+    with pytest.raises(IndexError, match=re.escape(message)):
+        apply_mask(ff_star, ApertureMask(receiver_rows=(index,)))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig(mask_cols=(index,)).validate()
 
 
 def test_config_validation_errors(parse_text):

@@ -66,8 +66,9 @@ COLD_PATHS = {
     """,
     "config_error": """
         from plate_echo import cli
-        for command in ("forward", "verify", "oracle"):
-            assert cli.main([command, "--config", BAD_CONFIG]) == cli.EXIT_CONFIG
+        for bad in BAD_CONFIGS:
+            for argv in (["forward"], ["verify"], ["oracle"], ["image", MATRIX]):
+                assert cli.main([*argv, "--config", bad]) == cli.EXIT_CONFIG
     """,
 }
 
@@ -76,10 +77,14 @@ COLD_PATHS = {
 def test_numpy_only_paths_load_no_scipy(path, tmp_path, ff_star):
     matrix = tmp_path / "farfield_star.txt"
     save_farfield(ff_star, matrix)
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[experiment]\nk = 0\n")
-    out = run_python(f"import sys\nMATRIX, OUT, BAD_CONFIG = {str(matrix)!r}, {str(tmp_path)!r}, {str(bad)!r}",
-                     COLD_PATHS[path], f"print({SCIPY_MODULES})")
+    bad = []
+    # k is checked in the config; rho, seed and the mask by the imaging layer's own checks
+    for i, text in enumerate(("[experiment]\nk = 0\n", "[imaging]\nrho = 0\n", "[noise]\nseed = -1\n",
+                              "[mask]\nrows = 99\n")):
+        bad.append(tmp_path / f"bad{i}.ini")
+        bad[-1].write_text(text)
+    out = run_python(f"import sys\nMATRIX, OUT, BAD_CONFIGS = {str(matrix)!r}, {str(tmp_path)!r}, "
+                     f"{[str(b) for b in bad]!r}", COLD_PATHS[path], f"print({SCIPY_MODULES})")
     assert out.splitlines()[-1] == "[]"
 
 

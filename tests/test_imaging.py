@@ -278,9 +278,10 @@ class TestGrid:
         assert evaluate_grid(ff_star, EXTENT, (np.int64(3), 2), 4.0, "ip").values.shape == (2, 3)
         with pytest.raises(ValueError):
             evaluate_grid(ff_star, EXTENT, (10, 10, 7), 4.0, "ip")
-        # non-finite, reversed (min y would land on the PGM's top row) and flat extents
+        # non-finite, reversed (min y would land on the PGM's top row), flat and wrong-length extents
         for bad in ((-4.0, np.nan, -4.0, 4.0), (-4.0, 4.0, -np.inf, 4.0), (4.0, -4.0, -4.0, 4.0),
-                    (-4.0, 4.0, 4.0, -4.0), (1.0, 1.0, -4.0, 4.0), (-4.0, 4.0, 2.0, 2.0)):
+                    (-4.0, 4.0, 4.0, -4.0), (1.0, 1.0, -4.0, 4.0), (-4.0, 4.0, 2.0, 2.0),
+                    (-4.0, 4.0, -4.0), (-4.0, 4.0, -4.0, 4.0, 0.0)):
             with pytest.raises(ValueError, match="extent"):
                 evaluate_grid(ff_star, bad, (10, 10), 4.0, "ip")
 
