@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -160,40 +161,49 @@ def _maue_product(X, group=1):
 # system assembly
 # ---------------------------------------------------------------------------
 def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: slice,
-                cols: slice, scale: float, window, kernels=None):
-    """Write the off-diagonal entries of the four blocks at node pairs rows x cols.
+                groups: slice, cols: slice, scale: float, window, kernels=None):
+    """Write the off-diagonal entries of the four blocks at node pairs rows x (groups, cols).
 
-    Every entry is computed from its own nodes i in rows and j in cols: r, the
-    log ln(4 sin^2((t_i - t_j)/2)), R_{(i-j) mod 2n}, n_j.(x_i - x_j)/r and
-    the geo factor; where the block meets the diagonal, r is 1 and the log 0
-    as placeholders, diagonals being set explicitly. The kernels J_0, Y_0,
-    J_1, Y_1, I_0, K_0, I_1, K_1 of k r, with I_0 and I_1 times a window's chi,
-    are evaluated unless given (the mirrored block passes the upper block's,
-    transposed), read only, returned.
+    left and right are the strips as (2h, m, h) arrays, column j of group g
+    being node g h + j. Every entry is computed from its own nodes i in rows
+    and j: r, the log ln(4 sin^2((t_i - t_j)/2)), R_{(i-j) mod 2n},
+    n_j.(x_i - x_j)/r and the geo factor; where the block meets the diagonal
+    (in group 0), r is 1 and the log 0 as placeholders, diagonals being set
+    explicitly. The kernels J_0, Y_0, J_1, Y_1, I_0, K_0, I_1, K_1 of k r,
+    with I_0 and I_1 times a window's chi, are evaluated unless given (a
+    mirrored block passes the values of its transposed pairs), read only,
+    returned.
     """
+    h, m = right.shape[0] // 2, right.shape[1]        # the lower blocks start at row h
     m2 = disc.n_nodes
     w = np.pi / disc.half
+
+    def col(a):
+        """a's values at the column nodes, (groups, cols)."""
+        return a.reshape(m, h)[groups, cols]
+
     x1, x2 = disc.x[:, 0], disc.x[:, 1]
-    dx1 = x1[rows, None] - x1[None, cols]
-    dx2 = x2[rows, None] - x2[None, cols]
+    dx1 = x1[rows, None, None] - col(x1)
+    dx2 = x2[rows, None, None] - col(x2)
     r = np.hypot(dx1, dx2)
-    d = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-    on_diag = (d - rows.start, d - cols.start)
+    # the diagonal i = j lies in group 0
+    d = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop) if groups.start == 0 else 0)
+    on_diag = (d - rows.start, 0, d - cols.start)
     r[on_diag] = np.inf
     if r.min() < 1e-12 * scale:
         raise RuntimeError("degenerate boundary: coincident quadrature nodes")
     r[on_diag] = 1.0
-    dt = disc.t[rows, None] - disc.t[None, cols]
+    dt = disc.t[rows, None, None] - col(disc.t)
     with np.errstate(divide="ignore"):
         lsin = np.log(4.0 * np.sin(dt / 2.0) ** 2)
     lsin[on_diag] = 0.0
     node = np.arange(m2)
-    Rlog = R[(node[rows, None] - node[None, cols]) % m2]
+    Rlog = R[(node[rows, None, None] - col(node)) % m2]
     nr, speed = disc.normal_raw, disc.speed
     # n_j . (x_i - x_j) / r and n_i . (x_i - x_j)
-    q_src = (dx1 * nr[None, cols, 0] + dx2 * nr[None, cols, 1]) / r
-    q_obs = dx1 * nr[rows, None, 0] + dx2 * nr[rows, None, 1]
-    geo = q_obs * speed[None, cols] / (speed[rows, None] * r)
+    q_src = (dx1 * col(nr[:, 0]) + dx2 * col(nr[:, 1])) / r
+    q_obs = dx1 * nr[rows, 0, None, None] + dx2 * nr[rows, 1, None, None]
+    geo = q_obs * col(speed) / (speed[rows, None, None] * r)
     if kernels is None:
         kr = k * r
         kernels = [bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr),
@@ -203,7 +213,6 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
             kernels[4] *= chi
             kernels[6] *= chi
     J0, Y0, J1, Y1, I0, K0, I1, K1 = kernels
-    h = left.shape[0] // 2                            # the lower blocks start at row h
     lo_r = slice(rows.start + h, rows.stop + h)
 
     def split(out, X1, X):
@@ -218,27 +227,27 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
     Jq = J1 * q_src
     L = Y1 * (-0.5 * k)
     L *= q_src
-    split(left.real[rows, cols], -(k / (2.0 * np.pi)) * Jq, L)
-    np.multiply(Jq, 0.5 * k * w, out=left.imag[rows, cols])
+    split(left.real[rows, groups, cols], -(k / (2.0 * np.pi)) * Jq, L)
+    np.multiply(Jq, 0.5 * k * w, out=left.imag[rows, groups, cols])
 
     # --- block (1,2): modified-Helmholtz single layer (real) -----------------
     M1 = I0 * -(1.0 / (2.0 * np.pi))
-    M1 *= speed[cols]
+    M1 *= col(speed)
     M = K0 * (1.0 / np.pi)
-    M *= speed[cols]
-    split(right[rows, cols], M1, M)
+    M *= col(speed)
+    split(right[rows, groups, cols], M1, M)
 
     # --- block (2,2): modified-Helmholtz adjoint double layer - I (real) -----
     P1 = I1 * -(k / (2.0 * np.pi))
     P1 *= geo
     P = K1 * -(k / np.pi)
     P *= geo
-    split(right[lo_r, cols], P1, P)
+    split(right[lo_r, groups, cols], P1, P)
 
     # --- block (2,1), first A_phi: the split of G = -Y_0/4 + i J_0/4 ---------
     G = Y0 * -0.25
-    split(left.real[lo_r, cols], -(1.0 / (4.0 * np.pi)) * J0, G)
-    np.multiply(J0, 0.25 * w, out=left.imag[lo_r, cols])
+    split(left.real[lo_r, groups, cols], -(1.0 / (4.0 * np.pi)) * J0, G)
+    np.multiply(J0, 0.25 * w, out=left.imag[lo_r, groups, cols])
     return kernels
 
 
@@ -253,14 +262,19 @@ def assemble_system(disc: BoundaryDiscretization, k: float,
     h = n_nodes/m (indices mod n_nodes), and only each block's first h rows
     are built: left and right are then 2h x n_nodes.
 
-    The rows are built in blocks [a:b] of nodes. For each, _fill_block
-    evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on the
-    upper trapezoid [a:b, a:] and fills those entries of all four blocks; a
-    second _fill_block call fills the mirrored block [b:h, a:b] from the same
-    kernel values transposed and its own geometry. So the kernels are
-    evaluated once per symmetric node pair, and besides the result only the
-    Maue product's FFT buffer, its kappa weights and the real nu_i . nu_j
-    matrix nunu are h x n_nodes.
+    The rows are built in blocks [a:b] of nodes. Column block g, columns
+    g h .. g h + h - 1, holds the kernel values of block m - g transposed,
+    since |x_i - x_{j + g h}| = |x_j - x_{i + (m - g) h}| (and so does the
+    window's tau); blocks 0 and m/2 are their own transposes. For each row
+    block, _fill_block evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of
+    k|x_i - x_j| on the upper trapezoid [a:b, a:] of blocks 0 and m/2 and
+    fills those entries of all four blocks, and a second call fills their
+    mirrored [b:h, a:b] from the same kernel values transposed and its own
+    geometry. Blocks 0 < g < m/2 are evaluated on rows [a:b] in full, and
+    their values transposed fill columns [a:b] of blocks m - g. So the
+    kernels are evaluated once per pair orbit, and besides the result only
+    the Maue product's FFT buffer, its kappa weights and the real
+    nu_i . nu_j matrix nunu are h x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
     Kress's split of K_0, K_1 by I_0, I_1 cancels terms of size I_0(k diam), diam the curve's
@@ -281,12 +295,21 @@ def assemble_system(disc: BoundaryDiscretization, k: float,
 
     left = np.empty((2 * h, m2), dtype=complex)
     right = np.empty((2 * h, m2))
+    # the self-transposed blocks 0 and m/2, the blocks 0 < g < m/2 and their transposes m - g
+    ends = slice(0, group // 2 + 1, group // 2) if group % 2 == 0 else slice(0, 1)
+    n_mid = (group - 1) // 2
+    middle, mirrored = slice(1, n_mid + 1), slice(group - 1, group - n_mid - 1, -1)
+    fill = partial(_fill_block, left.reshape(2 * h, group, h), right.reshape(2 * h, group, h),
+                   disc, k, R, scale=diam, window=window)
     for a in range(0, h, step):
         b = min(a + step, h)
-        kernels = _fill_block(left, right, disc, k, R, slice(a, b), slice(a, m2), diam, window)
+        kernels = fill(slice(a, b), ends, slice(a, h))
         if b < h:
-            _fill_block(left, right, disc, k, R, slice(b, h), slice(a, b), diam, window,
-                        [K[:, b - a:h - a].T for K in kernels])
+            fill(slice(b, h), ends, slice(a, b),
+                 kernels=[K[..., b - a:].transpose(2, 1, 0) for K in kernels])
+        if n_mid:
+            kernels = fill(slice(a, b), middle, slice(0, h))
+            fill(slice(0, h), mirrored, slice(a, b), kernels=[K.transpose(2, 1, 0) for K in kernels])
 
     # --- diagonals of the splits, R_0 diag1 + (pi/n) diag2, and the +-1 -------
     # (diag1 = 0 for both double layers, so theirs are (pi/n) curvature +- 1)
@@ -356,6 +379,23 @@ def _lu_each(lu):
     return lu, piv
 
 
+def _group_dft(f, a, norm="backward", out=None):
+    """f (np.fft.fft or np.fft.ifft) over the group axis 1 of a.
+
+    For a group of 2 it is the x0 +- x1 that pocketfft gives bit for bit
+    (halved by the normalised ifft), in a's dtype and without its passes.
+    """
+    if a.shape[1] != 2:
+        return f(a, axis=1, norm=norm, out=out)
+    out = np.empty_like(a) if out is None else out
+    total = a[:, 0] + a[:, 1]
+    np.subtract(a[:, 0], a[:, 1], out=out[:, 1])
+    out[:, 0] = total
+    if f is np.fft.ifft and norm == "backward":
+        out *= 0.5
+    return out
+
+
 class ScatteringSolver:
     """One boundary discretization, assembled and factored once.
 
@@ -392,12 +432,12 @@ class ScatteringSolver:
             raise RuntimeError(f"the assembled system overflows at k={self.k:g}; nothing can be solved")
         # the characters' blocks, written over the column blocks X_g; (m, 2h, h) views
         left = left.reshape(2 * h, m, h)
-        np.fft.ifft(left, axis=1, norm="forward", out=left)
+        _group_dft(np.fft.ifft, left, "forward", out=left)
         right = right.reshape(2 * h, m, h)
         if m > 2:
             right = np.fft.ifft(right, axis=1, norm="forward")
         elif m == 2:
-            right[:, 0], right[:, 1] = right[:, 0] + right[:, 1], right[:, 0] - right[:, 1]
+            _group_dft(np.fft.ifft, right, "forward", out=right)
         self.left, self.right = left.transpose(1, 0, 2), right.transpose(1, 0, 2)
         A22 = _stack(m, h, right.dtype)
         A22[...] = self.right[:, h:]
@@ -418,7 +458,7 @@ class ScatteringSolver:
     def _characters(self, a):
         """(j n_nodes, M) rows as their characters (j, m, h, M): sum_g a_g e^{-2 pi i g c/m}."""
         m = self.group
-        return np.fft.fft(a.reshape(-1, m, self.disc.n_nodes // m, a.shape[-1]), axis=1)
+        return _group_dft(np.fft.fft, a.reshape(-1, m, self.disc.n_nodes // m, a.shape[-1]))
 
     def solve(self, rhs):
         """Densities (phi1, phi2) for a (2 n_nodes, M) array of right-hand sides, one per column.
@@ -439,7 +479,7 @@ class ScatteringSolver:
         r2 = b2 - self.left[:, h:] @ x1
         x2[...] = _pairs(lu_solve, self.lu22, r2, check_finite=False)
         resid = self._backward_error(X, B, r2)
-        sols = np.fft.ifft(X, axis=1).reshape(2 * m2, -1)
+        sols = _group_dft(np.fft.ifft, X, out=X).reshape(2 * m2, -1)
         if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
             raise RuntimeError(
                 f"linear solve failed (relative residual {resid:.3e}); "
@@ -482,10 +522,26 @@ class ScatteringSolver:
         return E @ phi1
 
     def far_field_matrix(self, n_dirs: int) -> FarFieldMatrix:
-        """N x N multi-static matrix over uniform directions: N solves, N^2 evaluations."""
-        dirs = uniform_directions(n_dirs)
-        entries = self.far_field(self.solve(incident_trace(self.disc, self.k, dirs))[0], dirs)
-        return FarFieldMatrix(k=self.k, entries=entries, shape_kind=self.disc.curve.kind)
+        """N x N multi-static matrix over uniform directions: N/g solves, N^2 evaluations.
+
+        With g = gcd(group, N), rotating direction d by 2 pi/g to d' moves its
+        right-hand side, and so its density, by n_nodes/g nodes times
+        e^{ik c.(d' - d)}, c the centroid of the nodes (the rotation centre
+        for m >= 2): only the first N/g directions are solved. The far field
+        of every column is still evaluated, not rolled, so F is not exactly
+        block-circulant and its images keep no exact ties.
+        """
+        disc, dirs = self.disc, uniform_directions(n_dirs)
+        n, m2 = len(dirs), disc.n_nodes
+        g = math.gcd(self.group, n)
+        p = n // g
+        phi1 = self.solve(incident_trace(disc, self.k, dirs[:p]))[0]
+        if g > 1:
+            # column q p + j is column j rolled by q n_nodes/g nodes, times e^{ik c.(d_{qp+j} - d_j)}
+            phi1 = phi1[(np.arange(m2)[:, None] - (m2 // g) * np.arange(g)) % m2].reshape(m2, n)
+            phi1 *= np.exp(1j * self.k * ((dirs - dirs[np.arange(n) % p]) @ disc.x.mean(axis=0)))
+        entries = self.far_field(phi1, dirs)
+        return FarFieldMatrix(k=self.k, entries=entries, shape_kind=disc.curve.kind)
 
     def far_field_operator(self, n_dirs: int) -> FarFieldOperator:
         """F over n_dirs uniform directions, applied through this factorization, never tabulated."""

@@ -1,5 +1,6 @@
 """Integral-equation solver: block-level and end-to-end validation."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -595,7 +596,7 @@ def _dense_system(solver):
 
 @pytest.mark.parametrize("m2", [128, 256])
 @pytest.mark.parametrize("kind", ["star", "peanut", "kite", "circle"])
-def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
+def test_block_solve_matches_dense_solve(kind, m2):
     # the Schur-complement solve of each character against a dense solve of the system
     solver = ScatteringSolver(make_curve(kind), K, m2)
     system = _dense_system(solver)
@@ -608,8 +609,7 @@ def test_block_solve_matches_dense_solve(kind, m2, monkeypatch):
     dens = np.concatenate([phi1, phi2])
     assert np.abs(dens - ref).max() / np.abs(ref).max() < 1e-9
     F = solver.far_field_matrix(64).entries
-    monkeypatch.setattr(solver, "solve", lambda d: (ref[:m2], ref[m2:]))
-    F_ref = solver.far_field_matrix(64).entries
+    F_ref = solver.far_field(ref[:m2], dirs)
     assert np.abs(F - F_ref).max() / np.abs(F_ref).max() < 1e-12
 
 
@@ -816,7 +816,8 @@ def test_window_switch_reads_the_curve_diameter(monkeypatch):
     assert calls == []
     monkeypatch.setattr(ParametricCurve, "diameter", lambda self: 10.0)   # k diam = 40
     ScatteringSolver(make_curve("star"), K, 128)
-    assert len(calls) == forward.KERNEL_ROW_BLOCKS
+    # two per row block: the self-transposed column blocks 0 and 2, and block 1 (block 3 is its transpose)
+    assert len(calls) == 2 * forward.KERNEL_ROW_BLOCKS
 
 
 def test_row_blocks_leave_the_windowed_system_bit_identical(monkeypatch):
@@ -870,6 +871,59 @@ def test_symmetric_solver_evaluates_a_fraction_of_the_kernels(monkeypatch):
     monkeypatch.setattr(specfun, "sp", counter)
     assert ScatteringSolver(make_curve("star"), K, m2).group == 4
     assert counter.values <= 0.3 * 8 * m2 * m2
+
+
+@pytest.mark.parametrize("kind, bound", [("star", 0.14), ("peanut", 0.27)])
+def test_kernels_evaluated_once_per_pair_orbit(kind, bound, monkeypatch):
+    # column block g of the first rows holds block m - g's kernel values transposed: the
+    # 4-petal star evaluates blocks 0 and 2 as trapezoids and block 1 in full (0.125
+    # of the pairs), the peanut its blocks 0 and 1 as trapezoids (0.25)
+    m2 = 128
+    counter = _CountingSpecial()
+    monkeypatch.setattr(specfun, "sp", counter)
+    ScatteringSolver(make_curve(kind), K, m2)
+    assert counter.values <= bound * 8 * m2 * m2
+
+
+def _translated_star():
+    import dataclasses
+
+    star = make_curve("star")
+
+    def moved_frame(t):
+        x, dx, ddx = star._frame(t)
+        return x + np.array([0.5, -0.3]), dx, ddx
+
+    return dataclasses.replace(star, _frame=moved_frame)
+
+
+@pytest.mark.parametrize("curve, k, m2, n_dirs", [
+    (make_curve("star"), K, 128, 64), (make_curve("star"), K, 128, 30), (make_curve("star"), K, 128, 33),
+    (make_curve("peanut"), K, 128, 64), (make_curve("ellipse"), K, 128, 64),
+    (make_curve("circle"), K, 128, 64), (_translated_star(), K, 128, 64),
+    (make_curve("star"), 8.0, 256, 1024), (make_curve("kite"), K, 128, 64),
+], ids=["star", "star-N30", "star-N33", "peanut", "ellipse", "circle", "translated-star",
+        "star-k8-N1024", "kite"])
+def test_far_field_matrix_matches_a_solve_of_every_direction(curve, k, m2, n_dirs):
+    # N/g solves, the other densities rolled by n_nodes/g with the centroid's phase
+    solver = ScatteringSolver(curve, k, m2)
+    dirs = uniform_directions(n_dirs)
+    F = solver.far_field_matrix(n_dirs).entries
+    ref = solver.far_field(solver.solve(incident_trace(solver.disc, k, dirs))[0], dirs)
+    if math.gcd(solver.group, n_dirs) == 1:
+        assert np.array_equal(F, ref)
+    else:
+        assert _rel_max(F, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("kind, m2, n_rhs", [("star", 128, 16), ("circle", 128, 1), ("kite", 128, 64)])
+def test_far_field_matrix_solves_n_over_g_directions(kind, m2, n_rhs, monkeypatch):
+    solver = ScatteringSolver(make_curve(kind), K, m2)
+    widths = []
+    solve = solver.solve
+    monkeypatch.setattr(solver, "solve", lambda rhs: widths.append(rhs.shape[1]) or solve(rhs))
+    assert solver.far_field_matrix(64).entries.shape == (64, 64)
+    assert widths == [n_rhs]
 
 
 # --- an exact far field for every shape: radiating sources inside the cavity
