@@ -108,13 +108,14 @@ def kress_log_weights(half: int) -> np.ndarray:
     """Weights R_j for int_0^2pi ln(4 sin^2((t-s)/2)) f(s) ds at the nodes.
 
     R_j = -(2 pi/n) sum_{m=1}^{n-1} cos(m j pi/n)/m - (-1)^j pi/n^2, with n the
-    half node count; exact for trigonometric polynomials of degree < n.
+    half node count; exact for trigonometric polynomials of degree < n. The
+    sum is the real part of one length-2n FFT, whose twiddles are reduced
+    exactly, so no unreduced angle m j pi/n is formed.
     """
     n = half
-    j = np.arange(2 * n)
-    m = np.arange(1, n)
-    c = np.cos(np.pi * np.outer(j, m) / n) @ (1.0 / m)
-    return -(2.0 * np.pi / n) * c - (np.pi / n**2) * np.cos(np.pi * j)
+    c = np.zeros(2 * n)
+    c[1:n] = 1.0 / np.arange(1, n)
+    return -(2.0 * np.pi / n) * np.fft.fft(c).real - (np.pi / n**2) * (-1.0) ** np.arange(2 * n)
 
 
 # Node rows per assembly block: ceil(n_nodes / KERNEL_ROW_BLOCKS). The system
@@ -160,19 +161,18 @@ def _maue_product(X, group=1):
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
-def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarray, rows: slice,
-                groups: slice, cols: slice, scale: float, window, kernels=None):
+def _fill_block(left, right, disc: BoundaryDiscretization, k: float, Q: np.ndarray, Qw: np.ndarray,
+                rows: slice, groups: slice, cols: slice, scale: float, kernels=None):
     """Write the off-diagonal entries of the four blocks at node pairs rows x (groups, cols).
 
     left and right are the strips as (2h, m, h) arrays, column j of group g
-    being node g h + j. Every entry is computed from its own nodes i in rows
-    and j: r, the log ln(4 sin^2((t_i - t_j)/2)), R_{(i-j) mod 2n},
-    n_j.(x_i - x_j)/r and the geo factor; where the block meets the diagonal
-    (in group 0), r is 1 and the log 0 as placeholders, diagonals being set
-    explicitly. The kernels J_0, Y_0, J_1, Y_1, I_0, K_0, I_1, K_1 of k r,
-    with I_0 and I_1 times a window's chi, are evaluated unless given (a
-    mirrored block passes the values of its transposed pairs), read only,
-    returned.
+    being node g h + j. Each pair's own geometry is computed from its nodes i
+    in rows and j: r, n_j.(x_i - x_j)/r and the geo factor. Its log split
+    reads the tables Q (the J-based blocks) and Qw (the I-based ones) at the
+    node lag (i - j) mod 2n. At lag 0, the diagonal, r is 1 as a placeholder,
+    diagonals being set explicitly. The kernels J_0, Y_0, J_1, Y_1, I_0, K_0,
+    I_1, K_1 of k r are evaluated unless given (a mirrored block passes the
+    values of its transposed pairs), read only, returned.
     """
     h, m = right.shape[0] // 2, right.shape[1]        # the lower blocks start at row h
     m2 = disc.n_nodes
@@ -186,19 +186,13 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
     dx1 = x1[rows, None, None] - col(x1)
     dx2 = x2[rows, None, None] - col(x2)
     r = np.hypot(dx1, dx2)
-    # the diagonal i = j lies in group 0
-    d = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop) if groups.start == 0 else 0)
-    on_diag = (d - rows.start, 0, d - cols.start)
+    node = np.arange(m2)
+    lag = (node[rows, None, None] - col(node)) % m2
+    on_diag = lag == 0
     r[on_diag] = np.inf
     if r.min() < 1e-12 * scale:
         raise RuntimeError("degenerate boundary: coincident quadrature nodes")
     r[on_diag] = 1.0
-    dt = disc.t[rows, None, None] - col(disc.t)
-    with np.errstate(divide="ignore"):
-        lsin = np.log(4.0 * np.sin(dt / 2.0) ** 2)
-    lsin[on_diag] = 0.0
-    node = np.arange(m2)
-    Rlog = R[(node[rows, None, None] - col(node)) % m2]
     nr, speed = disc.normal_raw, disc.speed
     # n_j . (x_i - x_j) / r and n_i . (x_i - x_j)
     q_src = (dx1 * col(nr[:, 0]) + dx2 * col(nr[:, 1])) / r
@@ -208,17 +202,12 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
         kr = k * r
         kernels = [bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr),
                    bessel_i(0, kr), bessel_k(0, kr), bessel_i(1, kr), bessel_k(1, kr)]
-        if window is not None:   # chi = erfc((tau - a)/sigma)/2, tau = |t_i - t_j| wrapped into [0, pi]
-            chi = 0.5 * erfc((np.pi - np.abs(np.pi - np.abs(dt)) - window[0]) / window[1])
-            kernels[4] *= chi
-            kernels[6] *= chi
     J0, Y0, J1, Y1, I0, K0, I1, K1 = kernels
     lo_r = slice(rows.start + h, rows.stop + h)
 
-    def split(out, X1, X):
-        """out = R o X1 + (pi/n) X2 for the split X = X1 lsin + X2. Overwrites X."""
-        X -= X1 * lsin
-        np.multiply(Rlog, X1, out=out)
+    def split(out, table, X1, X):
+        """out = R o X1 + (pi/n)(X - X1 ln 4 sin^2) = table[lag] o X1 + (pi/n) X. Overwrites X."""
+        np.multiply(table[lag], X1, out=out)
         X *= w
         out += X
 
@@ -227,7 +216,7 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
     Jq = J1 * q_src
     L = Y1 * (-0.5 * k)
     L *= q_src
-    split(left.real[rows, groups, cols], -(k / (2.0 * np.pi)) * Jq, L)
+    split(left.real[rows, groups, cols], Q, -(k / (2.0 * np.pi)) * Jq, L)
     np.multiply(Jq, 0.5 * k * w, out=left.imag[rows, groups, cols])
 
     # --- block (1,2): modified-Helmholtz single layer (real) -----------------
@@ -235,18 +224,18 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, R: np.ndarr
     M1 *= col(speed)
     M = K0 * (1.0 / np.pi)
     M *= col(speed)
-    split(right[rows, groups, cols], M1, M)
+    split(right[rows, groups, cols], Qw, M1, M)
 
     # --- block (2,2): modified-Helmholtz adjoint double layer - I (real) -----
     P1 = I1 * -(k / (2.0 * np.pi))
     P1 *= geo
     P = K1 * -(k / np.pi)
     P *= geo
-    split(right[lo_r, groups, cols], P1, P)
+    split(right[lo_r, groups, cols], Qw, P1, P)
 
     # --- block (2,1), first A_phi: the split of G = -Y_0/4 + i J_0/4 ---------
     G = Y0 * -0.25
-    split(left.real[lo_r, groups, cols], -(1.0 / (4.0 * np.pi)) * J0, G)
+    split(left.real[lo_r, groups, cols], Q, -(1.0 / (4.0 * np.pi)) * J0, G)
     np.multiply(J0, 0.25 * w, out=left.imag[lo_r, groups, cols])
     return kernels
 
@@ -257,41 +246,47 @@ def assemble_system(disc: BoundaryDiscretization, k: float,
 
     left is the complex [A11; A21], right the real [A12; A22] (S~ and K~' - I
     are real), each 2 n_nodes x n_nodes: np.hstack((left, right)) is 4n x 4n.
-    With group m > 1, for a curve that rotation by 2 pi/m maps onto itself
-    and m dividing n_nodes, every block has A[i + h, j + h] = A[i, j] with
+    With group m > 1 dividing gcd(curve.rotation_order, n_nodes) (any other
+    group is refused), every block has A[i + h, j + h] = A[i, j] with
     h = n_nodes/m (indices mod n_nodes), and only each block's first h rows
     are built: left and right are then 2h x n_nodes.
 
     The rows are built in blocks [a:b] of nodes. Column block g, columns
     g h .. g h + h - 1, holds the kernel values of block m - g transposed,
-    since |x_i - x_{j + g h}| = |x_j - x_{i + (m - g) h}| (and so does the
-    window's tau); blocks 0 and m/2 are their own transposes. For each row
-    block, _fill_block evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of
-    k|x_i - x_j| on the upper trapezoid [a:b, a:] of blocks 0 and m/2 and
-    fills those entries of all four blocks, and a second call fills their
-    mirrored [b:h, a:b] from the same kernel values transposed and its own
-    geometry. Blocks 0 < g < m/2 are evaluated on rows [a:b] in full, and
-    their values transposed fill columns [a:b] of blocks m - g. So the
-    kernels are evaluated once per pair orbit, and besides the result only
-    the Maue product's FFT buffer, its kappa weights and the real
-    nu_i . nu_j matrix nunu are h x n_nodes.
+    since |x_i - x_{j + g h}| = |x_j - x_{i + (m - g) h}|; blocks 0 and m/2
+    are their own transposes. For each row block, _fill_block evaluates J_0,
+    Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on the upper
+    trapezoid [a:b, a:] of blocks 0 and m/2 and fills those entries of all
+    four blocks, and a second call fills their mirrored [b:h, a:b] from the
+    same kernel values transposed and its own geometry. Blocks 0 < g < m/2
+    are evaluated on rows [a:b] in full, and their values transposed fill
+    columns [a:b] of blocks m - g. So the kernels are evaluated once per pair
+    orbit, and besides the result only the Maue product's FFT buffer, its
+    kappa weights and the real nu_i . nu_j matrix nunu are h x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
-    Kress's split of K_0, K_1 by I_0, I_1 cancels terms of size I_0(k diam), diam the curve's
-    diameter; past WINDOW_THETA, if a + 5 sigma = 2a < pi, I_0 and I_1 are windowed (_fill_block).
+    The log split's factors but the kernels depend on the node lag l = (i - j) mod 2n only: the
+    table Q_l = R_l - (pi/n) ln(4 sin^2(t_l/2)), t_l = l pi/n (Q_0 = R_0). Kress's split of K_0, K_1
+    by I_0, I_1 cancels terms of size I_0(k diam), diam the curve's diameter; past WINDOW_THETA, if
+    a + 5 sigma = 2a < pi, the I-based blocks read Q chi, chi = erfc((t_l wrapped - a)/sigma)/2.
     """
     if not 0 < k < np.inf:
         raise ValueError(f"assemble_system requires a finite k > 0, got k={k!r}")
     m2 = disc.n_nodes
+    order = math.gcd(disc.curve.rotation_order, m2)
+    if not is_index(group) or group < 1 or order % group:
+        raise ValueError(f"group={group!r} does not divide gcd(rotation order, n_nodes) = {order}")
     h = m2 // group
     speed = disc.speed
     w = np.pi / disc.half
-    R = kress_log_weights(disc.half)
     step = -(-h // KERNEL_ROW_BLOCKS)
     diam = max(disc.curve.diameter(), 1e-30)
+    t_lag = np.pi * np.arange(m2) / disc.half
+    Q = kress_log_weights(disc.half)
+    Q[1:] -= w * np.log(4.0 * np.sin(t_lag[1:] / 2.0) ** 2)
     a_win = WINDOW_KAPPA / (k * speed.max())
     kress = 2.0 * a_win >= np.pi or np.finfo(float).eps * bessel_i(0, k * diam) <= WINDOW_THETA
-    window = None if kress else (a_win, a_win / 5.0)
+    Qw = Q if kress else Q * 0.5 * erfc((np.pi - np.abs(np.pi - t_lag) - a_win) / (a_win / 5.0))
 
     left = np.empty((2 * h, m2), dtype=complex)
     right = np.empty((2 * h, m2))
@@ -300,7 +295,7 @@ def assemble_system(disc: BoundaryDiscretization, k: float,
     n_mid = (group - 1) // 2
     middle, mirrored = slice(1, n_mid + 1), slice(group - 1, group - n_mid - 1, -1)
     fill = partial(_fill_block, left.reshape(2 * h, group, h), right.reshape(2 * h, group, h),
-                   disc, k, R, scale=diam, window=window)
+                   disc, k, Q, Qw, scale=diam)
     for a in range(0, h, step):
         b = min(a + step, h)
         kernels = fill(slice(a, b), ends, slice(a, h))
@@ -320,10 +315,10 @@ def assemble_system(disc: BoundaryDiscretization, k: float,
     log_speed = np.log(0.5 * k * speed_h) + EULER_GAMMA
     left.real[diag, diag] = curvature + 1.0
     left.imag[diag, diag] = 0.0
-    right[diag, diag] = (R[0] * (-(1.0 / (2.0 * np.pi)) * speed_h)
+    right[diag, diag] = (Q[0] * (-(1.0 / (2.0 * np.pi)) * speed_h)
                          + (-(1.0 / np.pi) * log_speed * speed_h) * w)
     right[low, diag] = curvature - 1.0
-    left.real[low, diag] = R[0] * -(1.0 / (4.0 * np.pi)) + (-(1.0 / (2.0 * np.pi)) * log_speed) * w
+    left.real[low, diag] = Q[0] * -(1.0 / (4.0 * np.pi)) + (-(1.0 / (2.0 * np.pi)) * log_speed) * w
     left.imag[low, diag] = 0.25 * w
 
     # --- block (2,1): hypersingular block through the Maue split -------------

@@ -42,6 +42,17 @@ def test_kress_weights_integrate_log_kernel():
         assert R @ np.cos(m * t) == pytest.approx(-2 * np.pi / m, rel=1e-12)
 
 
+@pytest.mark.parametrize("half", [512, 1024])
+def test_kress_weights_match_an_exactly_reduced_sum(half):
+    # the angles m j pi/n reduced mod 2 pi as integers and the terms summed exactly;
+    # cosines of the unreduced angles (up to about 5e5) were 1.0e-15 off
+    m = np.arange(1, half)
+    terms = np.cos(np.pi * (np.arange(2 * half)[:, None] * m % (2 * half)) / half) / m
+    ref = [-(2.0 * np.pi / half) * math.fsum(row) - (np.pi / half**2) * (-1.0) ** j
+           for j, row in enumerate(terms)]
+    assert np.abs(kress_log_weights(half) - ref).max() <= 1e-16
+
+
 CIRCLE_A = 1.3
 CIRCLE_MODES = [-6, -3, 0, 1, 2, 4, 8]
 
@@ -785,6 +796,20 @@ def test_windowed_split_matches_disk_oracle_at_high_k(k, m2):
     assert _rel_max(ff.entries, disk_far_field_matrix(1.0, k, 64).entries) <= 1e-9
 
 
+def test_windowed_split_reaches_the_disk_oracle_at_k30():
+    # 1.7e-11 while the log weights took cosines of unreduced angles
+    ff = assemble_far_field_matrix(make_curve("circle"), 30.0, 64, 384)
+    assert _rel_max(ff.entries, disk_far_field_matrix(1.0, 30.0, 64).entries) <= 6e-12
+
+
+@pytest.mark.parametrize("kind, bound", [("star", 4e-11), ("kite", 2e-12), ("peanut", 2e-12)])
+def test_far_field_floor_of_512_against_1024_nodes(kind, bound):
+    # 1.3e-10, 1.2e-11 and 5.7e-12 while the log weights took cosines of unreduced angles
+    curve = make_curve(kind)
+    coarse = assemble_far_field_matrix(curve, K, 64, 512).entries
+    assert _rel_max(coarse, assemble_far_field_matrix(curve, K, 64, 1024).entries) <= bound
+
+
 @pytest.mark.parametrize("k", [8.0, 12.0])
 def test_windowed_split_converges_on_the_star(k):
     # n-vs-2n at 256 nodes; Kress's split alone reads 3.7e-4 at k = 8 and 1.2 at k = 12
@@ -802,9 +827,8 @@ def test_window_is_off_at_the_presets_and_on_for_the_high_k_disk(monkeypatch):
         ScatteringSolver(make_curve(kind), K, 128)
     assert calls == []
     assemble_system(discretize(make_curve("circle"), 256), 16.0)
-    # one call per row block, on its upper trapezoid: the mirrored blocks reuse the values
-    assert len(calls) == forward.KERNEL_ROW_BLOCKS
-    assert 256 * 257 / 2 <= sum(calls) < 0.6 * 256 * 256
+    # one call per assembly, on the table of its 256 node lags
+    assert calls == [256]
 
 
 def test_window_switch_reads_the_curve_diameter(monkeypatch):
@@ -816,8 +840,8 @@ def test_window_switch_reads_the_curve_diameter(monkeypatch):
     assert calls == []
     monkeypatch.setattr(ParametricCurve, "diameter", lambda self: 10.0)   # k diam = 40
     ScatteringSolver(make_curve("star"), K, 128)
-    # two per row block: the self-transposed column blocks 0 and 2, and block 1 (block 3 is its transpose)
-    assert len(calls) == 2 * forward.KERNEL_ROW_BLOCKS
+    # one call on the table of the 128 node lags, whatever the group and row blocks
+    assert calls == [128]
 
 
 def test_row_blocks_leave_the_windowed_system_bit_identical(monkeypatch):
@@ -844,6 +868,27 @@ def test_group_is_the_rotation_order_that_divides_the_node_count(curve, m2, m):
     assert ScatteringSolver(curve, K, m2).group == m
 
 
+@pytest.mark.parametrize("curve, m2, group", [
+    (make_curve("kite"), 128, 4), (_star(4), 128, 3), (_star(4), 130, 4), (_star(4), 128, 0),
+    (make_curve("circle"), 128, 3), (make_curve("circle"), 128, 2.0),
+], ids=["kite-4", "star4-3", "star4-130-4", "star4-0", "circle-3", "circle-float"])
+def test_assemble_system_refuses_a_group_the_nodes_do_not_have(curve, m2, group):
+    # the kite's group 4 used to return a wrong strip, the star's 3 to fail inside numpy
+    with pytest.raises(ValueError, match=rf"group={group!r} does not divide"):
+        assemble_system(discretize(curve, m2), K, group)
+
+
+def test_assemble_system_takes_every_divisor_of_the_circle_group():
+    # the circle's group is n_nodes: each divisor m builds the first n_nodes/m rows of every block
+    m2 = 32
+    disc = discretize(make_curve("circle"), m2)
+    full = np.hstack(assemble_system(disc, K))
+    for group in (1, 2, 4, 8, 16, 32):
+        h = m2 // group
+        strip = np.hstack(assemble_system(disc, K, group))
+        assert _rel_max(strip, full[np.r_[0:h, m2:m2 + h]]) <= 1e-13
+
+
 @pytest.mark.parametrize("curve, k, m2", [
     (_star(4), K, 128), (_star(4), K, 256), (_star(4), 16.0, 512), (_star(5), K, 130),
     (make_curve("peanut"), K, 128), (make_curve("ellipse"), K, 128), (make_curve("circle"), K, 128),
@@ -864,8 +909,8 @@ def test_symmetric_solve_matches_a_dense_solve_of_the_full_system(curve, k, m2):
 
 
 def test_symmetric_solver_evaluates_a_fraction_of_the_kernels(monkeypatch):
-    # the first quarter of the rows of the 4-petal star: the upper trapezoid of
-    # those rows and its mirror within them, about 0.22 of the pairs (0.5 unreduced)
+    # the first quarter of the rows of the 4-petal star, each pair orbit
+    # evaluated once: about 0.129 of the pairs (0.5 unreduced)
     m2 = 128
     counter = _CountingSpecial()
     monkeypatch.setattr(specfun, "sp", counter)
