@@ -162,8 +162,8 @@ def _maue_product(X, group=1):
 # system assembly
 # ---------------------------------------------------------------------------
 def _fill_block(left, right, disc: BoundaryDiscretization, k: float, Q: np.ndarray, Qw: np.ndarray,
-                rows: slice, groups: slice, cols: slice, scale: float, kernels=None):
-    """Write the off-diagonal entries of the four blocks at node pairs rows x (groups, cols).
+                rows: slice, cols: slice, scale: float, kernels=None):
+    """Write the off-diagonal entries of the four blocks at node pairs rows x cols of every group.
 
     left and right are the strips as (2h, m, h) arrays, column j of group g
     being node g h + j. Each pair's own geometry is computed from its nodes i
@@ -171,16 +171,16 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, Q: np.ndarr
     reads the tables Q (the J-based blocks) and Qw (the I-based ones) at the
     node lag (i - j) mod 2n. At lag 0, the diagonal, r is 1 as a placeholder,
     diagonals being set explicitly. The kernels J_0, Y_0, J_1, Y_1, I_0, K_0,
-    I_1, K_1 of k r are evaluated unless given (a mirrored block passes the
-    values of its transposed pairs), read only, returned.
+    I_1, K_1 of k r are evaluated unless given (the values of the mirrored
+    pairs), read only, returned.
     """
     h, m = right.shape[0] // 2, right.shape[1]        # the lower blocks start at row h
     m2 = disc.n_nodes
     w = np.pi / disc.half
 
     def col(a):
-        """a's values at the column nodes, (groups, cols)."""
-        return a.reshape(m, h)[groups, cols]
+        """a's values at the column nodes, (m, cols)."""
+        return a.reshape(m, h)[:, cols]
 
     x1, x2 = disc.x[:, 0], disc.x[:, 1]
     dx1 = x1[rows, None, None] - col(x1)
@@ -216,27 +216,27 @@ def _fill_block(left, right, disc: BoundaryDiscretization, k: float, Q: np.ndarr
     Jq = J1 * q_src
     L = Y1 * (-0.5 * k)
     L *= q_src
-    split(left.real[rows, groups, cols], Q, -(k / (2.0 * np.pi)) * Jq, L)
-    np.multiply(Jq, 0.5 * k * w, out=left.imag[rows, groups, cols])
+    split(left.real[rows, :, cols], Q, -(k / (2.0 * np.pi)) * Jq, L)
+    np.multiply(Jq, 0.5 * k * w, out=left.imag[rows, :, cols])
 
     # --- block (1,2): modified-Helmholtz single layer (real) -----------------
     M1 = I0 * -(1.0 / (2.0 * np.pi))
     M1 *= col(speed)
     M = K0 * (1.0 / np.pi)
     M *= col(speed)
-    split(right[rows, groups, cols], Qw, M1, M)
+    split(right[rows, :, cols], Qw, M1, M)
 
     # --- block (2,2): modified-Helmholtz adjoint double layer - I (real) -----
     P1 = I1 * -(k / (2.0 * np.pi))
     P1 *= geo
     P = K1 * -(k / np.pi)
     P *= geo
-    split(right[lo_r, groups, cols], Qw, P1, P)
+    split(right[lo_r, :, cols], Qw, P1, P)
 
     # --- block (2,1), first A_phi: the split of G = -Y_0/4 + i J_0/4 ---------
     G = Y0 * -0.25
-    split(left.real[lo_r, groups, cols], Q, -(1.0 / (4.0 * np.pi)) * J0, G)
-    np.multiply(J0, 0.25 * w, out=left.imag[lo_r, groups, cols])
+    split(left.real[lo_r, :, cols], Q, -(1.0 / (4.0 * np.pi)) * J0, G)
+    np.multiply(J0, 0.25 * w, out=left.imag[lo_r, :, cols])
     return kernels
 
 
@@ -252,17 +252,16 @@ def assemble_system(disc: BoundaryDiscretization, k: float,
     are built: left and right are then 2h x n_nodes.
 
     The rows are built in blocks [a:b] of nodes. Column block g, columns
-    g h .. g h + h - 1, holds the kernel values of block m - g transposed,
-    since |x_i - x_{j + g h}| = |x_j - x_{i + (m - g) h}|; blocks 0 and m/2
-    are their own transposes. For each row block, _fill_block evaluates J_0,
-    Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of k|x_i - x_j| on the upper
-    trapezoid [a:b, a:] of blocks 0 and m/2 and fills those entries of all
-    four blocks, and a second call fills their mirrored [b:h, a:b] from the
-    same kernel values transposed and its own geometry. Blocks 0 < g < m/2
-    are evaluated on rows [a:b] in full, and their values transposed fill
-    columns [a:b] of blocks m - g. So the kernels are evaluated once per pair
-    orbit, and besides the result only the Maue product's FFT buffer, its
-    kappa weights and the real nu_i . nu_j matrix nunu are h x n_nodes.
+    g h .. g h + h - 1, holds the kernel values of block -g mod m transposed,
+    since |x_i - x_{j + g h}| = |x_j - x_{i - g h}|. For each row block,
+    _fill_block evaluates J_0, Y_0, J_1, Y_1, I_0, K_0, I_1 and K_1 of
+    k|x_i - x_j| on the upper trapezoid [a:b, a:] of every column block and
+    fills those entries of all four blocks, and a second call fills the
+    mirrored [b:h, a:b] of each block g from block -g's kernel values
+    transposed and its own geometry. So the kernels are evaluated about once
+    per pair orbit, and besides the result only the Maue product's FFT
+    buffer, its kappa weights and the real nu_i . nu_j matrix nunu are
+    h x n_nodes.
     The Helmholtz blocks are split into real and imaginary parts, so every
     block is built in real arithmetic straight into the result.
     The log split's factors but the kernels depend on the node lag l = (i - j) mod 2n only: the
@@ -290,21 +289,15 @@ def assemble_system(disc: BoundaryDiscretization, k: float,
 
     left = np.empty((2 * h, m2), dtype=complex)
     right = np.empty((2 * h, m2))
-    # the self-transposed blocks 0 and m/2, the blocks 0 < g < m/2 and their transposes m - g
-    ends = slice(0, group // 2 + 1, group // 2) if group % 2 == 0 else slice(0, 1)
-    n_mid = (group - 1) // 2
-    middle, mirrored = slice(1, n_mid + 1), slice(group - 1, group - n_mid - 1, -1)
+    mirror = -np.arange(group) % group                # column block g holds block -g transposed
     fill = partial(_fill_block, left.reshape(2 * h, group, h), right.reshape(2 * h, group, h),
                    disc, k, Q, Qw, scale=diam)
     for a in range(0, h, step):
         b = min(a + step, h)
-        kernels = fill(slice(a, b), ends, slice(a, h))
+        kernels = fill(slice(a, b), slice(a, h))
         if b < h:
-            fill(slice(b, h), ends, slice(a, b),
-                 kernels=[K[..., b - a:].transpose(2, 1, 0) for K in kernels])
-        if n_mid:
-            kernels = fill(slice(a, b), middle, slice(0, h))
-            fill(slice(0, h), mirrored, slice(a, b), kernels=[K.transpose(2, 1, 0) for K in kernels])
+            fill(slice(b, h), slice(a, b),
+                 kernels=[K[:, mirror, b - a:].transpose(2, 1, 0) for K in kernels])
 
     # --- diagonals of the splits, R_0 diag1 + (pi/n) diag2, and the +-1 -------
     # (diag1 = 0 for both double layers, so theirs are (pi/n) curvature +- 1)

@@ -1,5 +1,6 @@
 """Command-line driver: config parsing, commands, exit codes."""
 
+import configparser
 import importlib.util
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 
 import plate_echo
 from plate_echo.cli import (
+    CONFIG_FIELDS,
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_OK,
@@ -57,6 +59,17 @@ def test_defaults_reproduce_benchmark_setup():
 def test_presets():
     assert PRESETS["paper-star"].shape_kind == "star"
     assert PRESETS["paper-peanut"].shape_kind == "peanut"
+
+
+def test_readme_config_example_names_every_key(parse_text):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_text(text)
+    assert (cfg.shape_kind, cfg.shape_params) == ("peanut", make_curve("peanut").params)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser.read_string(text)
+    assert {(section, key) for section in parser.sections() for key in parser[section]} == {
+        row[:2] for row in CONFIG_FIELDS}
 
 
 def test_config_round_trip(parse_text):

@@ -879,14 +879,30 @@ def test_assemble_system_refuses_a_group_the_nodes_do_not_have(curve, m2, group)
 
 
 def test_assemble_system_takes_every_divisor_of_the_circle_group():
-    # the circle's group is n_nodes: each divisor m builds the first n_nodes/m rows of every block
-    m2 = 32
-    disc = discretize(make_curve("circle"), m2)
-    full = np.hstack(assemble_system(disc, K))
-    for group in (1, 2, 4, 8, 16, 32):
-        h = m2 // group
-        strip = np.hstack(assemble_system(disc, K, group))
-        assert _rel_max(strip, full[np.r_[0:h, m2:m2 + h]]) <= 1e-13
+    # each divisor m of a curve's group builds the first n_nodes/m rows of every block: the
+    # circle's group is n_nodes, and the stars' odd groups and groups above 2 mirror block g into -g
+    for curve, m2, groups in [(make_curve("circle"), 32, (1, 2, 4, 8, 16, 32)),
+                              (_star(4), 128, (1, 2, 4)),
+                              (make_curve("star", (1.0, 0.2, 6)), 96, (1, 2, 3, 6))]:
+        disc = discretize(curve, m2)
+        full = np.hstack(assemble_system(disc, K))
+        for group in groups:
+            h = m2 // group
+            strip = np.hstack(assemble_system(disc, K, group))
+            assert _rel_max(strip, full[np.r_[0:h, m2:m2 + h]]) <= 1e-13
+
+
+@pytest.mark.parametrize("curve, m2, calls", [
+    (_star(4), 128, 31), (make_curve("star", (1.0, 0.2, 6)), 96, 31), (make_curve("kite"), 128, 31),
+    (make_curve("circle"), 128, 1),
+], ids=["star4", "star6", "kite", "circle"])
+def test_every_group_fills_a_row_block_in_at_most_two_calls(curve, m2, calls, monkeypatch):
+    # the upper trapezoid of all m column blocks, then its mirror; no row block after the last
+    counted = []
+    fill = forward._fill_block
+    monkeypatch.setattr(forward, "_fill_block", lambda *args, **kw: counted.append(1) or fill(*args, **kw))
+    ScatteringSolver(curve, K, m2)
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("curve, k, m2", [
@@ -910,7 +926,7 @@ def test_symmetric_solve_matches_a_dense_solve_of_the_full_system(curve, k, m2):
 
 def test_symmetric_solver_evaluates_a_fraction_of_the_kernels(monkeypatch):
     # the first quarter of the rows of the 4-petal star, each pair orbit
-    # evaluated once: about 0.129 of the pairs (0.5 unreduced)
+    # evaluated about once: about 0.133 of the pairs (0.5 unreduced)
     m2 = 128
     counter = _CountingSpecial()
     monkeypatch.setattr(specfun, "sp", counter)
@@ -920,9 +936,9 @@ def test_symmetric_solver_evaluates_a_fraction_of_the_kernels(monkeypatch):
 
 @pytest.mark.parametrize("kind, bound", [("star", 0.14), ("peanut", 0.27)])
 def test_kernels_evaluated_once_per_pair_orbit(kind, bound, monkeypatch):
-    # column block g of the first rows holds block m - g's kernel values transposed: the
-    # 4-petal star evaluates blocks 0 and 2 as trapezoids and block 1 in full (0.125
-    # of the pairs), the peanut its blocks 0 and 1 as trapezoids (0.25)
+    # column block g of the first rows holds block -g's kernel values transposed, and
+    # every block is evaluated as an upper trapezoid: the 4-petal star's four give 0.133
+    # of the pairs (0.125 plus the diagonal tiles of blocks 1 and 3), the peanut's two 0.266
     m2 = 128
     counter = _CountingSpecial()
     monkeypatch.setattr(specfun, "sp", counter)
