@@ -13,8 +13,8 @@ Every key has a default reproducing the benchmark setup (wavenumber 4, 64
 directions, 150x150 grid on [-4,4]^2, rho=4 inner-product indicator, no
 noise). Presets: 'paper-star', 'paper-peanut'.
 
-Exit codes: 0 ok, 2 config error, 3 solver failure, 4 degenerate output,
-5 verification failure.
+Exit codes: 0 ok, 1 standard output closed early, 2 config error, 3 solver
+failure, 4 degenerate output, 5 verification failure.
 
 Every command is a pure function of (config, input files, seed): reruns
 produce byte-identical outputs. A command writes all of its files or none:
@@ -382,6 +382,7 @@ def main(argv=None) -> int:
         records, files, lines = COMMANDS[args.command][1](_effective_config(args), args)
         for rec in records:
             print(rec.line())
+        sys.stdout.flush()                      # a closed stdout stops the command before it writes
         failed = [rec.check for rec in records if not rec.passed]
         if failed:
             print(f"verification: FAIL (failed {', '.join(failed)}; nothing written)", file=sys.stderr)
@@ -401,5 +402,17 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
 
 
+def run() -> None:
+    """Entry point: main(), flush both streams, exit without interpreter teardown (it only frees
+    memory: main has renamed every file and needs no atexit hook). A closed stdout exits 1."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -43,6 +43,16 @@ def parse_text(tmp_path):
     return parse
 
 
+def _cli_process(argv, cwd, unbuffered, **streams):
+    """Popen of `python -m plate_echo.cli argv`; `unbuffered` sets or removes PYTHONUNBUFFERED."""
+    src = str(Path(plate_echo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "plate_echo.cli", *argv], cwd=cwd, env=env, **streams)
+
+
 def test_defaults_reproduce_benchmark_setup():
     cfg = ExperimentConfig().validate()
     assert cfg.shape_kind == "star"
@@ -419,14 +429,12 @@ def test_image_byte_identical_across_processes(tmp_path):
     assert main(["forward", "--preset", "paper-star", "--out", out]) == EXIT_OK
     cfg = tmp_path / "noisy.ini"
     cfg.write_text("[noise]\ndelta = 0.1\nseed = 5\n[output]\nwrite_pgm = true\n")
-    src = str(Path(plate_echo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     files = []
     for run in ("a", "b"):
         run_out = tmp_path / run
-        subprocess.run([sys.executable, "-m", "plate_echo.cli", "image", f"{out}/farfield_star.txt",
-                        "--config", str(cfg), "--out", str(run_out)],
-                       env=env, check=True, capture_output=True, timeout=300)
+        proc = _cli_process(["image", f"{out}/farfield_star.txt", "--config", str(cfg), "--out", str(run_out)],
+                            tmp_path, True, stdout=subprocess.DEVNULL)
+        assert proc.wait(timeout=300) == EXIT_OK
         files.append(((run_out / "grid_ip.csv").read_bytes(), (run_out / "grid_ip.pgm").read_bytes()))
     assert files[0] == files[1]
 
@@ -674,3 +682,57 @@ def test_options_a_command_does_not_use_are_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: cli.run flushes, then exits without teardown
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "block-buffered"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
+    # `plate-echo forward ... | true`: the pipe has no reader before the first
+    # record is printed, so the command stops before it writes its file
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "out"
+    try:
+        proc = _cli_process(["forward", "--preset", "paper-star", "--out", str(out)], tmp_path,
+                            unbuffered, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert err == b""
+    assert not out.exists()
+
+
+def test_commands_flush_under_block_buffering(tmp_path, capsys):
+    # os._exit skips the interpreter's own flush; without run()'s flushes a
+    # block-buffered pipe would deliver none of these lines
+    def cold(argv):
+        proc = _cli_process(argv, tmp_path, False, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=300)
+        return proc.returncode, out, err
+
+    assert main(["verify", "--preset", "paper-star"]) == EXIT_OK
+    code, out, err = cold(["verify", "--preset", "paper-star"])
+    assert (code, out, err) == (EXIT_OK, capsys.readouterr().out, "")
+    assert len(out.splitlines()) == 13 and out.endswith("verification: ok\n")
+
+    code, out, err = cold(["forward", "--config", str(tmp_path / "missing.ini")])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+    cfg = tmp_path / "k12.ini"
+    cfg.write_text("[experiment]\nk = 12\n")
+    code, out, err = cold(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VERIFY
+    assert out.startswith("check=operator_identity") and "pass=0" in out and out.count("\n") == 1
+    assert err == "verification: FAIL (failed operator_identity; nothing written)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_installed_command_takes_the_hard_exit():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["plate-echo"] == "plate_echo.cli:run"
