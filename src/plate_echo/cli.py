@@ -258,6 +258,8 @@ def cmd_image(cfg: ExperimentConfig, matrix_path: str):
         raise ConfigError(str(exc)) from exc
     if ff.n_dirs != cfg.n_dirs:
         raise ConfigError(f"matrix has N={ff.n_dirs}, config expects N={cfg.n_dirs}")
+    if ff.k != cfg.k:
+        raise ConfigError(f"matrix has k={ff.k!r}, config expects k={cfg.k!r}")
     ff = add_noise(ff, NoiseModel(cfg.delta, cfg.seed))
     ff = apply_mask(ff, cfg.mask())
     grid = evaluate_grid(ff, cfg.extent, cfg.resolution, cfg.rho, cfg.which)

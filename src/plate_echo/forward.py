@@ -120,8 +120,7 @@ def kress_log_weights(half: int) -> np.ndarray:
 
 # Node rows per assembly block: ceil(n_nodes / KERNEL_ROW_BLOCKS). The system
 # is built one block of rows at a time, so every pairwise array (geometry,
-# kernels, split products) has a block's size, not the full n_nodes^2. The
-# Schur complement is built in as many column blocks, for the same reason.
+# kernels, split products) has a block's size, not the full n_nodes^2.
 KERNEL_ROW_BLOCKS = 16
 
 
@@ -144,16 +143,14 @@ def _maue_product(X, group=1):
     # fft2's axes in its order (last first), then the inverses in reverse, in one buffer
     Y = X.copy()
     Y3 = Y.reshape(h, h, group)                       # [s or l, u, c]: column q = u group + c
+    twiddle = np.exp(-2j * np.pi / n * np.outer(np.arange(h), r))[:, None, :]   # all ones for group 1
     np.fft.fft(Y, axis=1, out=Y)
-    if group > 1:
-        twiddle = np.exp(-2j * np.pi / n * np.outer(np.arange(h), r))[:, None, :]
-        Y3 *= twiddle
+    Y3 *= twiddle
     np.fft.fft(Y, axis=0, out=Y)
     kappa3 = kappa.reshape(h, group)
     Y3 *= kappa3[:, None, r] * kappa3                 # kappa_p kappa_q at p = r + l group
     np.fft.ifft(Y, axis=0, out=Y)
-    if group > 1:
-        Y3 *= twiddle.conj()
+    Y3 *= twiddle.conj()
     np.fft.ifft(Y, axis=1, out=Y)
     return Y
 
@@ -348,22 +345,24 @@ def incident_trace(disc: BoundaryDiscretization, k: float, d) -> np.ndarray:
 
 
 def _pairs(f, A, X, **kwargs):
-    """f(A, X) for complex X; a real A (or LU of one) meets X's interleaved (re, im) columns."""
+    """f(A, X) for complex X; a real A (or LU of one) meets X's and out's interleaved (re, im) columns."""
     if np.iscomplexobj(A[0]):
         return f(A, X, **kwargs)
+    if "out" in kwargs:
+        kwargs["out"] = kwargs["out"].view(float)
     return np.ascontiguousarray(f(A, X.view(float), **kwargs)).view(complex)
 
 
-def _stack(m, h, dtype):
-    """An empty stack of m Fortran-ordered h x h matrices, which LAPACK factors in place."""
-    return np.empty((m, h, h), dtype=dtype).transpose(0, 2, 1)
+def _lu_each(a):
+    """Factor each C-ordered matrix of the stack a in place through its transpose, a Fortran-ordered view.
 
-
-def _lu_each(lu):
-    """Factor each matrix of the stack in place: (lu, piv), which one lu_solve call takes."""
-    piv = np.empty(lu.shape[:2], dtype=np.int32)
-    for a, p in zip(lu, piv):
-        p[...] = lu_factor(a, overwrite_a=True, check_finite=False)[1]
+    Returns the transposes' (lu, piv) for one lu_solve call, whose trans=1
+    solves with a's matrices and trans=0 with their transposes.
+    """
+    lu = a.transpose(0, 2, 1)
+    piv = np.empty(a.shape[:2], dtype=np.int32)
+    for t, p in zip(lu, piv):
+        p[...] = lu_factor(t, overwrite_a=True, check_finite=False)[1]
     return lu, piv
 
 
@@ -403,8 +402,9 @@ class ScatteringSolver:
     meet complex columns as interleaved (re, im) pairs. Every call to `solve`,
     `far_field_matrix` or `far_field_operator` reuses the factorization, and
     each solve is checked against the full system. `left` and `right` hold the
-    characters' [A11; A21] and [A12; A22] as (m, 2h, h) stacks; S is built in
-    its own buffer one column block at a time and factored there.
+    characters' [A11; A21] and [A12; A22] as (m, 2h, h) stacks; A22 (a copy)
+    and S, one product written into its buffer, are C-ordered (m, h, h)
+    stacks that LAPACK factors in place through their transposes.
     """
 
     def __init__(self, curve: ParametricCurve, k: float, n_nodes: int, node_offset: float = 0.0):
@@ -427,20 +427,16 @@ class ScatteringSolver:
         elif m == 2:
             _group_dft(np.fft.ifft, right, "forward", out=right)
         self.left, self.right = left.transpose(1, 0, 2), right.transpose(1, 0, 2)
-        A22 = _stack(m, h, right.dtype)
-        A22[...] = self.right[:, h:]
-        self.lu22 = _lu_each(A22)
+        # A22 copied, as the in-place LU would otherwise overwrite the right half for m = 1
+        self.lu22 = _lu_each(self.right[:, h:].copy())
         # W = A12 A22^-1 from A22^T W^T = A12^T
-        W_T = lu_solve(self.lu22, self.right[:, :h].transpose(0, 2, 1), trans=1)
+        W_T = lu_solve(self.lu22, self.right[:, :h].transpose(0, 2, 1))
         self.W = W_T.transpose(0, 2, 1)
-        # S = A11 - W A21, one column block at a time. Non-finite entries (a
-        # singular A22) flow on to the finiteness check in solve.
-        S = _stack(m, h, complex)
-        A11, A21 = self.left[:, :h], self.left[:, h:]
-        step = -(-h // KERNEL_ROW_BLOCKS)
-        for a in range(0, h, step):
-            b = min(a + step, h)
-            np.subtract(A11[..., a:b], _pairs(np.matmul, self.W, A21[..., a:b]), out=S[..., a:b])
+        # S = A11 - W A21, the product written straight into S. Non-finite
+        # entries (a singular A22) flow on to the finiteness check in solve.
+        S = np.empty((m, h, h), dtype=complex)
+        _pairs(np.matmul, self.W, self.left[:, h:], out=S)
+        np.subtract(self.left[:, :h], S, out=S)
         self.lu_schur = _lu_each(S)
 
     def _characters(self, a):
@@ -463,9 +459,9 @@ class ScatteringSolver:
         X = np.empty_like(B)
         x1, x2 = X
         y1 = b1 - _pairs(np.matmul, self.W, b2)
-        x1[...] = lu_solve(self.lu_schur, y1, overwrite_b=True, check_finite=False)
+        x1[...] = lu_solve(self.lu_schur, y1, trans=1, overwrite_b=True, check_finite=False)
         r2 = b2 - self.left[:, h:] @ x1
-        x2[...] = _pairs(lu_solve, self.lu22, r2, check_finite=False)
+        x2[...] = _pairs(lu_solve, self.lu22, r2, trans=1, check_finite=False)
         resid = self._backward_error(X, B, r2)
         sols = _group_dft(np.fft.ifft, X, out=X).reshape(2 * m2, -1)
         if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
@@ -524,10 +520,9 @@ class ScatteringSolver:
         g = math.gcd(self.group, n)
         p = n // g
         phi1 = self.solve(incident_trace(disc, self.k, dirs[:p]))[0]
-        if g > 1:
-            # column q p + j is column j rolled by q n_nodes/g nodes, times e^{ik c.(d_{qp+j} - d_j)}
-            phi1 = phi1[(np.arange(m2)[:, None] - (m2 // g) * np.arange(g)) % m2].reshape(m2, n)
-            phi1 *= np.exp(1j * self.k * ((dirs - dirs[np.arange(n) % p]) @ disc.x.mean(axis=0)))
+        # column q p + j is column j rolled by q n_nodes/g nodes, times e^{ik c.(d_{qp+j} - d_j)}
+        phi1 = phi1[(np.arange(m2)[:, None] - (m2 // g) * np.arange(g)) % m2].reshape(m2, n)
+        phi1 *= np.exp(1j * self.k * ((dirs - dirs[np.arange(n) % p]) @ disc.x.mean(axis=0)))
         entries = self.far_field(phi1, dirs)
         return FarFieldMatrix(k=self.k, entries=entries, shape_kind=disc.curve.kind)
 

@@ -448,6 +448,17 @@ def test_image_n_mismatch_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_image_k_mismatch_is_config_error(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["forward", "--preset", "paper-star", "--out", out]) == EXIT_OK
+    cfg = tmp_path / "k8.ini"
+    cfg.write_text("[experiment]\nk = 8\n")
+    code = main(["image", f"{out}/farfield_star.txt", "--config", str(cfg), "--out", out])
+    assert code == EXIT_CONFIG
+    assert "matrix has k=4.0, config expects k=8.0" in capsys.readouterr().err
+    assert not (tmp_path / "grid_ip.csv").exists()
+
+
 def test_image_missing_matrix(tmp_path):
     assert main(["image", f"{tmp_path}/nope.txt", "--out", str(tmp_path)]) == EXIT_CONFIG
 

@@ -194,9 +194,9 @@ def test_solver_holds_each_block_once():
 
 
 def test_solver_init_holds_no_full_size_temporary():
-    # S = A11 - W A21 is built in its own buffer one column block at a time,
-    # with no copy of A11 and no whole W A21 product; S holds one
-    # (m2/m) x (m2/m) matrix per character
+    # S = A11 - W A21 is one product written straight into S's buffer, then
+    # A11 - S in place, with no copy of A11 and no W A21 temporary; S holds
+    # one (m2/m) x (m2/m) matrix per character
     m2 = 256
     for kind in ("star", "kite"):
         tracemalloc.start()

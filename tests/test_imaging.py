@@ -247,6 +247,13 @@ class TestGrid:
             grid = evaluate_grid(ff, EXTENT, (150, 150), 4.0, "ip")
             assert make_curve(kind).contains(grid.argmax_point()[None, :])[0]
 
+    def test_preset_images_are_rotation_symmetric(self, ff_star, ff_peanut):
+        # the star's quarter turns and the peanut's half turn map the default grid onto itself
+        for ff, quarters in ((ff_star, (1, 2, 3)), (ff_peanut, (2,))):
+            values = evaluate_grid(ff, EXTENT, (150, 150), 4.0, "ip").values
+            for q in quarters:
+                assert np.max(np.abs(np.rot90(values, q) - values)) <= 1e-12
+
     def test_ray_envelope_decays(self, benchmark_grids):
         # windowed max along the +x ray is non-increasing beyond dist 2
         grid, _ = benchmark_grids["star", 0.02, "ip"]
