@@ -46,7 +46,8 @@ from functools import partial
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-# the file functions are re-exported, so the solver module serves the whole far-field workflow
+# load_farfield and save_farfield are re-exported: perfbench's workloads and selftest call them,
+# and its spans trace them, through this module
 from .farfield import FarFieldMatrix, is_index, load_farfield, save_farfield, uniform_directions  # noqa: F401
 from .geometry import ParametricCurve
 from .specfun import EULER_GAMMA, bessel_i, bessel_j, bessel_k, bessel_y, erfc
@@ -366,23 +367,6 @@ def _lu_each(a):
     return lu, piv
 
 
-def _group_dft(f, a, norm="backward", out=None):
-    """f (np.fft.fft or np.fft.ifft) over the group axis 1 of a.
-
-    For a group of 2 it is the x0 +- x1 that pocketfft gives bit for bit
-    (halved by the normalised ifft), in a's dtype and without its passes.
-    """
-    if a.shape[1] != 2:
-        return f(a, axis=1, norm=norm, out=out)
-    out = np.empty_like(a) if out is None else out
-    total = a[:, 0] + a[:, 1]
-    np.subtract(a[:, 0], a[:, 1], out=out[:, 1])
-    out[:, 0] = total
-    if f is np.fft.ifft and norm == "backward":
-        out *= 0.5
-    return out
-
-
 class ScatteringSolver:
     """One boundary discretization, assembled and factored once.
 
@@ -420,12 +404,12 @@ class ScatteringSolver:
             raise RuntimeError(f"the assembled system overflows at k={self.k:g}; nothing can be solved")
         # the characters' blocks, written over the column blocks X_g; (m, 2h, h) views
         left = left.reshape(2 * h, m, h)
-        _group_dft(np.fft.ifft, left, "forward", out=left)
+        np.fft.ifft(left, axis=1, norm="forward", out=left)
         right = right.reshape(2 * h, m, h)
         if m > 2:
             right = np.fft.ifft(right, axis=1, norm="forward")
-        elif m == 2:
-            _group_dft(np.fft.ifft, right, "forward", out=right)
+        elif m == 2:   # the sums and differences keep the real right half real, for the real A22 and W
+            right[:, 0], right[:, 1] = right[:, 0] + right[:, 1], right[:, 0] - right[:, 1]
         self.left, self.right = left.transpose(1, 0, 2), right.transpose(1, 0, 2)
         # A22 copied, as the in-place LU would otherwise overwrite the right half for m = 1
         self.lu22 = _lu_each(self.right[:, h:].copy())
@@ -442,7 +426,7 @@ class ScatteringSolver:
     def _characters(self, a):
         """(j n_nodes, M) rows as their characters (j, m, h, M): sum_g a_g e^{-2 pi i g c/m}."""
         m = self.group
-        return _group_dft(np.fft.fft, a.reshape(-1, m, self.disc.n_nodes // m, a.shape[-1]))
+        return np.fft.fft(a.reshape(-1, m, self.disc.n_nodes // m, a.shape[-1]), axis=1)
 
     def solve(self, rhs):
         """Densities (phi1, phi2) for a (2 n_nodes, M) array of right-hand sides, one per column.
@@ -463,7 +447,7 @@ class ScatteringSolver:
         r2 = b2 - self.left[:, h:] @ x1
         x2[...] = _pairs(lu_solve, self.lu22, r2, trans=1, check_finite=False)
         resid = self._backward_error(X, B, r2)
-        sols = _group_dft(np.fft.ifft, X, out=X).reshape(2 * m2, -1)
+        sols = np.fft.ifft(X, axis=1, out=X).reshape(2 * m2, -1)
         if not np.all(np.isfinite(sols)) or resid > SOLVE_RESIDUAL_TOL:
             raise RuntimeError(
                 f"linear solve failed (relative residual {resid:.3e}); "

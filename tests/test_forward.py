@@ -209,6 +209,22 @@ def test_solver_init_holds_no_full_size_temporary():
         assert peak - current <= 0.5 * 16 * m2**2
 
 
+@pytest.mark.parametrize("kind, m2, dtype", [
+    ("peanut", 128, np.float64),
+    ("ellipse", 128, np.float64),
+    ("kite", 128, np.float64),
+    ("star", 130, np.float64),                          # m = 2
+    ("star", 128, np.complex128),                       # m = 4
+])
+def test_real_right_half_stays_real_for_at_most_two_characters(kind, m2, dtype):
+    # for m <= 2 the characters of the real [A12; A22] are real, so its LU and
+    # W stay real; a complex copy would cost 4x the flops of A22's LU
+    solver = ScatteringSolver(make_curve(kind), K, m2)
+    assert (solver.group <= 2) == (dtype == np.float64)
+    for a in (solver.right, solver.lu22[0], solver.W):
+        assert a.dtype == dtype
+
+
 @pytest.mark.parametrize("make", [
     lambda star: ScatteringSolver(star, np.nan, 64),
     lambda star: ScatteringSolver(star, np.inf, 64),
@@ -624,7 +640,7 @@ def test_block_solve_matches_dense_solve(kind, m2):
     assert np.abs(F - F_ref).max() / np.abs(F_ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["star", "circle", "kite"])
+@pytest.mark.parametrize("kind", ["star", "circle", "kite", "peanut"])
 def test_backward_error_matches_dense_residual(kind):
     # a perturbed solution puts the residual far above rounding; the check over
     # the characters, which reuses r2 = b2 - A21 phi1, against the dense residual
